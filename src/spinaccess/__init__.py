@@ -10,13 +10,13 @@ a stochastic magnetic field.
 from .coherence import (PAULI, SIGMA_X, SIGMA_Y, SIGMA_Z, coherence_to_density,
                         density_to_coherence, is_physical, purity)
 from .cones import (ConeAnalysis, IsotropicSpan, ParamSubspace,
-                    classify_subspace, feasible_extent, is_completely_positive,
-                    is_positive, isotropic_span, rank_drop_certificate)
+                    classify_subspace, is_completely_positive, is_positive,
+                    isotropic_span, rank_drop_certificate)
 from .dynamics import (ControlSchedule, Trajectory, evolve_schedule,
                        expectation_sz, propagate, sz_derivatives)
 from .errors import (InfeasibleParametersError, InvalidModelError,
-                     InvalidStateError, OptimizationFailedError,
-                     SpinAccessError, StepSizeError, UnphysicalStateError)
+                     InvalidStateError, SpinAccessError, StepSizeError,
+                     UnphysicalStateError)
 from .generator import (dissipation_from_kossakowski, hamiltonian_matrix,
                         kossakowski_from_dissipation, lindblad_superop,
                         split_superop, sym_to_vec6, vec6_to_sym)

@@ -27,6 +27,9 @@ EXIT_INPUT = 1
 EXIT_DOMAIN = 2
 EXIT_MISMATCH = 3
 
+#: Most random draws the rank-drop certificate may be asked for.
+MAX_DRAWS = 10_000
+
 
 class InputError(Exception):
     """Malformed command input; maps to exit code 1."""
@@ -58,10 +61,26 @@ def _load_json(path: str, context: str) -> dict:
     return data
 
 
+def _number(value, name) -> float:
+    """A finite float, or an input error naming the field."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise _fail_input(f"field {name!r} must be a number, got {value!r}")
+    if not np.isfinite(x):
+        raise _fail_input(f"field {name!r} must be finite, got {x}")
+    return x
+
+
 def _vector(data, name, length):
-    arr = np.asarray(data, dtype=float)
-    if arr.shape != (length,):
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.shape != (length,):
         raise _fail_input(f"field {name!r} must be a list of {length} numbers")
+    if not np.all(np.isfinite(arr)):
+        raise _fail_input(f"field {name!r} must hold finite numbers")
     return arr
 
 
@@ -119,9 +138,11 @@ def cmd_classify(args) -> int:
     data = _load_json(args.input, "input")
     _strict_keys(data, {"basis", "draws"}, {"basis"}, "input")
     v = _subspace(data)
-    draws = int(data.get("draws", 32))
+    draws = int(_number(data.get("draws", 32), "draws"))
+    if not 1 <= draws <= MAX_DRAWS:
+        raise _fail_input(f"field 'draws' must be between 1 and {MAX_DRAWS}, got {draws}")
     tol = args.tolerances.get("feas", 1e-9)
-    analysis = classify_subspace(v, tol=tol, seed=args.seed)
+    analysis = classify_subspace(v, tol=tol)
     verdict = rank_drop_certificate(v, draws=draws, seed=args.seed)
     out = {
         "case": analysis.case_label,
@@ -172,10 +193,11 @@ def cmd_evolve(args) -> int:
     if not isinstance(segments, list):
         raise _fail_input("field 'schedule' must be a list of [duration, u] pairs")
     try:
-        sched = ControlSchedule([(float(s[0]), float(s[1])) for s in segments])
+        sched = ControlSchedule([(_number(s[0], "schedule"), _number(s[1], "schedule"))
+                                 for s in segments])
     except (TypeError, IndexError, ValueError) as exc:
         raise _fail_input(f"field 'schedule' is invalid: {exc}")
-    dt = float(data["dt"])
+    dt = _number(data["dt"], "dt")
     if dt <= 0:
         raise _fail_input("field 'dt' must be positive")
     traj = evolve_schedule(h, dissipation_from_kossakowski(c), sched, v0, dt)
@@ -196,10 +218,7 @@ def _model_from(data) -> CorrelationModel:
         raise _fail_input("missing key 'family' in input")
     return CorrelationModel(
         family=data["family"],
-        w11=float(data.get("w11", 0.0)),
-        w13=float(data.get("w13", 0.0)),
-        w33=float(data.get("w33", 0.0)),
-        tau=float(data.get("tau", 0.0)),
+        **{key: _number(data.get(key, 0.0), key) for key in ("w11", "w13", "w33", "tau")},
     )
 
 
@@ -207,8 +226,8 @@ def cmd_spin_field(args) -> int:
     data = _load_json(args.input, "input")
     _strict_keys(data, _MODEL_KEYS | {"b3", "u"}, {"family", "b3"}, "input")
     model = _model_from(data)
-    b3 = float(data["b3"])
-    u = float(data.get("u", 1.0))
+    b3 = _number(data["b3"], "b3")
+    u = _number(data.get("u", 1.0), "u")
     coeffs = coefficients(model, b3)
     h, d = build_spin_generator(coeffs, u)
     out = {
@@ -233,16 +252,16 @@ def cmd_montecarlo(args) -> int:
     _strict_keys(data, allowed, {"family", "b3", "v0", "dt", "t_final", "n_samples"},
                  "input")
     model = _model_from(data)
-    n_samples = int(data["n_samples"])
+    n_samples = int(_number(data["n_samples"], "n_samples"))
     if n_samples < 100:
         raise _fail_input(f"field 'n_samples' must be at least 100, got {n_samples}")
     report = mc_validate(
         model,
-        b3=float(data["b3"]),
-        u=float(data.get("u", 1.0)),
+        b3=_number(data["b3"], "b3"),
+        u=_number(data.get("u", 1.0), "u"),
         v0=_vector(data["v0"], "v0", 3),
-        dt=float(data["dt"]),
-        t_final=float(data["t_final"]),
+        dt=_number(data["dt"], "dt"),
+        t_final=_number(data["t_final"], "t_final"),
         n_samples=n_samples,
         seed=args.seed,
     )
@@ -288,10 +307,7 @@ def _parse_tols(pairs) -> dict:
         key, _, val = pair.partition("=")
         if key not in _TOL_KEYS:
             raise _fail_input(f"unknown tolerance key {key!r}")
-        try:
-            out[key] = float(val)
-        except ValueError:
-            raise _fail_input(f"tolerance {key!r} has non-numeric value {val!r}")
+        out[key] = _number(val, f"tolerance {key}")
     return out
 
 
@@ -305,7 +321,7 @@ def _apply_config(args) -> None:
     if "output" in data:
         args.output = data["output"]
     if "seed" in data:
-        args.seed = int(data["seed"])
+        args.seed = int(_number(data["seed"], "seed"))
     if "format" in data:
         if data["format"] not in ("json", "csv"):
             raise _fail_input(f"config format must be json or csv, got {data['format']!r}")
@@ -316,7 +332,7 @@ def _apply_config(args) -> None:
         for key, val in data["tol"].items():
             if key not in _TOL_KEYS:
                 raise _fail_input(f"unknown tolerance key {key!r} in config")
-            args.tolerances[key] = float(val)
+            args.tolerances[key] = _number(val, f"tolerance {key}")
 
 
 def _add_common(sub, needs_input=True):

@@ -10,27 +10,27 @@ n_cp of the spans of the admissible sets.  It also computes the span K of
 directions on which the quadratic form w -> w^T C w vanishes identically
 over the subspace, and the rank-drop certificate built from K.
 
-Everything reduces to 3x3 eigenvalue computations; feasibility searches use
-a dense directional grid plus multistart local ascent of the minimum
-eigenvalue, which is concave in the coordinates, so local ascent is
-globally reliable.
+Each cone is the PSD cone intersected with one linear subspace (V for
+complete positivity, D(V) for positivity), so the classification is
+facial reduction (Borwein and Wolkowicz 1981; Permenter and Parrilo 2018):
+either the subspace holds a definite matrix, or a nonzero PSD matrix Y is
+orthogonal to it and every admissible member lives on the face ker Y.  A
+log-det barrier, which is concave and has one maximizer, finds the central
+point and Y together; in 3x3 at most three reductions reach the answer.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares, minimize
+from scipy.optimize import least_squares
 
-from .errors import OptimizationFailedError
-from .generator import dissipation_from_kossakowski, require_symmetric, sym_to_vec6, vec6_to_sym
+from .generator import (dissipation_from_kossakowski, kossakowski_from_dissipation,
+                        require_symmetric, sym_to_vec6, vec6_to_sym)
 
 #: Feasibility tolerance: a point is admissible when the relevant minimum
-#: eigenvalue is >= -FEAS_TOL.
+#: eigenvalue is >= -FEAS_TOL.  A face counts as strictly feasible when its
+#: unit-norm central member has lambda_min above FEAS_TOL.
 FEAS_TOL = 1e-9
-
-#: Extent band classified as "admissible set confined to the cone boundary".
-#: Boundary cases are exact zeros analytically but fuzzy numerically.
-BOUNDARY_BAND = (-1e-9, 1e-6)
 
 #: Relative singular-value threshold for span (rank) estimates.
 RANK_TOL = 1e-7
@@ -141,335 +141,156 @@ def is_positive(c: np.ndarray, tol: float = FEAS_TOL) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# feasibility search machinery
+# facial reduction
 # ---------------------------------------------------------------------------
 
-def _cone_maps(v: ParamSubspace, cone: str) -> np.ndarray:
-    """Images of the basis under the cone's defining linear map.
+#: Barrier weights along the central path, 1 down to 1e-8.  Smaller weights
+#: make the Newton systems too ill-conditioned to follow a boundary face.
+_MU_PATH = 10.0 ** -np.arange(9)
 
-    Coordinates, extents and witnesses all refer to the basis as given, so
-    callers get back values on their own scale; the searches assume basis
-    elements of roughly unit norm (as produced by the constructors here).
+#: Eigenvalues of the trace-one dual at or below this span its kernel.  At
+#: the last barrier weight they are about 1e-8 on the face and of order one
+#: off it; the cut sits at the geometric middle.
+_DUAL_CUT = 1e-4
+
+#: Unit-norm members whose part off the face has at most this norm count as
+#: supported on the face.  The face itself is known only to about 1e-8.
+_SUPPORT_CUT = 1e-6
+
+#: Frobenius-orthonormal basis of the symmetric 3x3 matrices, flattened.
+_SYM_BASIS = np.stack([vec6_to_sym(row).reshape(9) for row in
+                       np.diag([1.0, 1.0, 1.0] + [np.sqrt(0.5)] * 3)])
+
+
+def _orthonormal(mats: np.ndarray) -> np.ndarray:
+    """Frobenius-orthonormal basis of the span, each element normalized first."""
+    flat = mats.reshape(len(mats), -1)
+    flat = flat / np.linalg.norm(flat, axis=1, keepdims=True)
+    _, sv, vt = np.linalg.svd(flat, full_matrices=False)
+    return vt[: int(np.sum(sv > RANK_TOL * sv[0]))].reshape((-1,) + mats.shape[1:])
+
+
+def _central_path(mats: np.ndarray):
+    """Centre x and trace-one dual Y of max t s.t. sum_k x_k M_k >= t I, |x| <= 1.
+
+    Follows the log-det barrier central path from (t, x) = (-1, 0) by damped
+    Newton steps through the barrier weights mu of _MU_PATH.
+    With Z = sum_k x_k M_k - t I, stationarity in t makes Y = mu Z^-1 a
+    trace-one PSD matrix, and stationarity in x makes it orthogonal to every
+    M_k up to O(mu): the dual certificate of facial reduction.  The Newton
+    system is solved through a QR factor of its square root, which keeps
+    the small curvature of the ball term that the explicit Hessian loses.
     """
-    if cone == "CP":
-        return v.basis.copy()
+    m, r = mats.shape[:2]
+    a = np.concatenate([-np.eye(r)[None], mats])  # Z = sum_i z_i a_i, z = (t, x)
+    z = np.zeros(m + 1)
+    z[0] = -1.0
+    for mu in _MU_PATH:
+        for _ in range(50):
+            x = z[1:]
+            s = 1.0 - x @ x
+            w, vecs = np.linalg.eigh(np.einsum("k,kij->ij", z, a))
+            root = vecs / np.sqrt(w)
+            scaled = np.einsum("ia,kij,jb->kab", root, a, root)  # Z^-1/2 a_i Z^-1/2
+            grad = np.trace(scaled, axis1=1, axis2=2)
+            grad[0] += 1.0 / mu
+            grad[1:] -= 2.0 * x / s
+            ball = np.linalg.cholesky(2.0 * np.eye(m) / s + 4.0 * np.outer(x, x) / s**2)
+            rr = np.linalg.qr(np.vstack([scaled.reshape(m + 1, -1).T,
+                                         np.hstack([np.zeros((m, 1)), ball.T])]),
+                              mode="r")
+            step = np.linalg.solve(rr, np.linalg.solve(rr.T, grad))
+            dec = float(grad @ step)  # squared Newton decrement
+            z = z + (step / (1.0 + np.sqrt(dec)) if dec > 1.0 / 16.0 else step)
+            if dec < 1e-12:
+                break
+    y = np.linalg.inv(np.einsum("k,kij->ij", z, a))
+    return z[1:], y / np.trace(y)
+
+
+def _face(members: np.ndarray, tol: float):
+    """Facial reduction of the span of orthonormal members against the PSD cone.
+
+    Returns (rank, members, x): the rank of the smallest face of the PSD
+    cone holding every PSD member of the span, an orthonormal basis of the
+    span's members supported on that face, and the coordinates on that basis
+    of its central point.  While the central point of the current face is
+    not strictly feasible (depth at most ``tol``), the face shrinks to the
+    kernel of the dual; each pass drops at least one dimension.
+    """
+    u = np.eye(3)
+    while len(members) and u.shape[1]:
+        reduced = np.einsum("ia,kij,jb->kab", u, members, u)
+        x, dual = _central_path(reduced)
+        centre = np.einsum("k,kab->ab", x, reduced)
+        if np.linalg.eigvalsh(centre)[0] > tol * np.linalg.norm(centre):
+            return u.shape[1], members, x
+        vals, vecs = np.linalg.eigh(dual)
+        u = u @ vecs[:, vals <= _DUAL_CUT]
+        off = np.einsum("ij,kjl->kil", np.eye(3) - u @ u.T, members)
+        _, sv, vt = np.linalg.svd(off.reshape(len(members), 9).T)
+        members = np.einsum("jk,kab->jab", vt[sv <= _SUPPORT_CUT], members)
+    return 0, members[:0], None
+
+
+def _unit_member(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The member with coordinates x, scaled to unit Frobenius norm."""
+    m = np.einsum("k,kij->ij", x, mats)
+    return m / np.linalg.norm(m)
+
+
+def _analyze_cone(v: ParamSubspace, cone: str, tol: float):
+    """Face rank, admissible span dimension, signed depth and witnesses."""
+    images = v.basis if cone == "CP" else np.stack(
+        [dissipation_from_kossakowski(b) for b in v.basis])
+    span = _orthonormal(images)
+    rank, members, x = _face(span, tol)
+    if rank == 0:
+        # the span meets the cone only at zero iff its orthogonal complement
+        # within the symmetric matrices holds a definite matrix; report how deep
+        coords = span.reshape(len(span), 9) @ _SYM_BASIS.T
+        comp = (np.linalg.svd(coords)[2][len(span):] @ _SYM_BASIS).reshape(-1, 3, 3)
+        centre = _unit_member(comp, _central_path(comp)[0])
+        return 0, 0, -float(np.linalg.eigvalsh(centre)[0]), []
+    centre = _unit_member(members, x)
+    # short steps along the face members stay inside the face: each has unit
+    # norm, so it moves the face eigenvalues of the centre by at most the step
+    u = np.linalg.eigh(centre)[1][:, 3 - rank:]
+    step = 0.5 * np.linalg.eigvalsh(u.T @ centre @ u)[0]
+    witnesses = [centre] + [centre + step * m for m in members]
     if cone == "P":
-        return np.stack([dissipation_from_kossakowski(b) for b in v.basis])
-    raise ValueError(f"cone must be 'P' or 'CP', got {cone!r}")
+        witnesses = [kossakowski_from_dissipation(w) for w in witnesses]
+    return rank, len(members), float(np.linalg.eigvalsh(centre)[0]), witnesses
 
 
-def _sphere_grid(n: int, seed: int, m: int = 10000) -> np.ndarray:
-    """Deterministic directions on the coordinate unit sphere."""
-    if n == 1:
-        return np.array([[1.0], [-1.0]])
-    if n == 2:
-        ang = 2.0 * np.pi * np.arange(m) / m
-        return np.column_stack([np.cos(ang), np.sin(ang)])
-    if n == 3:
-        i = np.arange(m)
-        z = 1.0 - 2.0 * (i + 0.5) / m
-        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        phi = i * np.pi * (3.0 - np.sqrt(5.0))
-        return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-    rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((4096, n))
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
-
-
-def _min_eigs(maps: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    mats = np.einsum("sk,kij->sij", xs, maps)
-    return np.linalg.eigvalsh(mats)[:, 0]
-
-
-def _ascent(maps: np.ndarray, xs: np.ndarray, iters: int = 200) -> np.ndarray:
-    """Batched projected supergradient ascent of lambda_min on the sphere."""
-    xs = xs / np.linalg.norm(xs, axis=1, keepdims=True)
-    for t in range(iters):
-        mats = np.einsum("sk,kij->sij", xs, maps)
-        vals, vecs = np.linalg.eigh(mats)
-        u = vecs[:, :, 0]
-        grad = np.einsum("si,kij,sj->sk", u, maps, u)
-        stepped = xs + (0.25 / (1.0 + t) ** 0.7) * grad
-        nrm = np.linalg.norm(stepped, axis=1, keepdims=True)
-        # a step through the origin leaves the direction undefined; stay put
-        ok = nrm[:, 0] > 1e-12
-        xs = np.where(ok[:, None], stepped / np.where(ok[:, None], nrm, 1.0), xs)
-    return xs
-
-
-def _nm_polish(maps: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, float]:
-    """High-precision local maximization of lambda_min around x0."""
-
-    def neg_min_eig(x):
-        nx = np.linalg.norm(x)
-        if nx < 1e-12:
-            return 1e6
-        m = np.einsum("k,kij->ij", x / nx, maps)
-        return -np.linalg.eigvalsh(m)[0]
-
-    res = minimize(neg_min_eig, x0, method="Nelder-Mead",
-                   options={"xatol": 1e-12, "fatol": 1e-14,
-                            "maxiter": 4000, "maxfev": 6000})
-    x = res.x / np.linalg.norm(res.x)
-    return x, -neg_min_eig(x)
-
-
-def _frobenius_basis(maps: np.ndarray) -> np.ndarray:
-    """Orthonormal (Frobenius) basis of span{maps}, rows of shape (d, 9)."""
-    q, _ = np.linalg.qr(maps.reshape(len(maps), 9).T)
-    return q.T[: len(maps)]
-
-
-def _alternating_projection(maps, ortho, xs, iters=400):
-    """Pull unit directions toward the feasible set cone /\\ span{maps}.
-
-    Alternates the PSD projection (eigenvalue clipping) with the orthogonal
-    projection onto the subspace, renormalizing to keep away from the apex.
-    Returns refined coordinates of the surviving points.
-    """
-    mats = np.einsum("sk,kij->sij", xs, maps)
-    nrm = np.linalg.norm(mats.reshape(len(mats), 9), axis=1)
-    keep = nrm > 1e-12
-    mats = mats[keep] / nrm[keep, None, None]
-    for _ in range(iters):
-        vals, vecs = np.linalg.eigh(mats)
-        clipped = np.maximum(vals, 0.0)
-        mats = np.einsum("sij,sj,skj->sik", vecs, clipped, vecs)
-        flat = mats.reshape(len(mats), 9) @ ortho.T
-        mats = (flat @ ortho).reshape(len(mats), 3, 3)
-        nrm = np.linalg.norm(mats.reshape(len(mats), 9), axis=1)
-        alive = nrm > 1e-10
-        if not np.any(alive):
-            return np.zeros((0, maps.shape[0]))
-        mats = mats[alive] / nrm[alive, None, None]
-    # recover coordinates in the (non-orthogonal) map basis by least squares
-    a = maps.reshape(len(maps), 9).T
-    coords, *_ = np.linalg.lstsq(a, mats.reshape(len(mats), 9).T, rcond=None)
-    xs = coords.T
-    nx = np.linalg.norm(xs, axis=1)
-    return xs[nx > 1e-10] / nx[nx > 1e-10, None]
-
-
-def _dedupe(xs: np.ndarray, decimals: int = 6) -> np.ndarray:
-    if len(xs) == 0:
-        return xs
-    _, idx = np.unique(np.round(xs, decimals), axis=0, return_index=True)
-    return xs[np.sort(idx)]
-
-
-# A feasibility tolerance t admits points whose components off the true
-# admissible span reach sqrt(t) (quadratic boundary contact), far above the
-# rank threshold.  Witnesses on the cone boundary are therefore polished
-# onto the boundary manifold by Gauss-Newton before any rank estimate: the
-# near-zero eigenvalue block of M(x) is driven to zero exactly, which
-# converges quadratically and removes the contamination.
-_INTERIOR_CUT = 1e-5
-_CLEAN_ACCEPT = 1e-15
-
-
-def _boundary_newton(maps: np.ndarray, x: np.ndarray, iters: int = 40):
-    """Move x within the subspace so the small eigenvalue block vanishes.
-
-    The eigenvalue residual is quadratic in the off-structure components, so
-    each step halves them; the iteration budget brings 1e-5 contamination
-    below the rank threshold with room to spare.
-    """
-    x = x / np.linalg.norm(x)
-    for _ in range(iters):
-        m = np.einsum("k,kij->ij", x, maps)
-        vals, vecs = np.linalg.eigh(m)
-        zero = np.abs(vals) <= _INTERIOR_CUT
-        if not np.any(zero):
-            break
-        u0 = vecs[:, zero]
-        g = u0.T @ m @ u0
-        s = g.shape[0]
-        iu = np.triu_indices(s)
-        resid = g[iu]
-        if np.max(np.abs(resid)) < 1e-16:
-            break
-        jac = np.stack([(u0.T @ maps[k] @ u0)[iu] for k in range(maps.shape[0])],
-                       axis=1)
-        delta, *_ = np.linalg.lstsq(jac, -resid, rcond=None)
-        x = x + delta
-        nx = np.linalg.norm(x)
-        if nx < 1e-8:
-            return None
-        x = x / nx
-    if _min_eigs(maps, x[None, :])[0] < -_CLEAN_ACCEPT:
-        return None
-    return x
-
-
-def _clean_feasible(maps: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Exactly-structured feasible points from a tolerance-feasible sample."""
-    out = []
-    for x in xs:
-        val = _min_eigs(maps, x[None, :])[0]
-        if val >= _INTERIOR_CUT:
-            out.append(x)
-            continue
-        cleaned = _boundary_newton(maps, x)
-        if cleaned is not None:
-            out.append(cleaned)
-    if not out:
-        return np.zeros((0, maps.shape[0]))
-    return _dedupe(np.asarray(out))
-
-
-def _face_enrichment(maps, feas_xs, tol):
-    """Feasible points spanning the minimal face around the found set.
-
-    The span of a convex feasible set equals the subspace slice supported on
-    the range of any relative-interior point; perturbing such a point along
-    that slice yields verified feasible points in all spanned directions.
-    """
-    if len(feas_xs) == 0:
-        return np.zeros((0, maps.shape[0]))
-    center = feas_xs.mean(axis=0)
-    m_center = np.einsum("k,kij->ij", center, maps)
-    vals, vecs = np.linalg.eigh(m_center)
-    rank_cut = RANK_TOL * max(vals.max(), 1e-30)
-    r = vecs[:, vals > rank_cut]
-    if r.shape[1] == 0:
-        return np.zeros((0, maps.shape[0]))
-    off = np.eye(3) - r @ r.T
-    # coordinates x with (I - P_R) M(x) = 0, i.e. M(x) supported on range R.
-    # The loose cut absorbs the small rotation of R left by the polishing.
-    a = np.stack([(off @ maps[k]).reshape(9) for k in range(maps.shape[0])], axis=1)
-    _, sv, vt = np.linalg.svd(a, full_matrices=True)
-    null = vt[np.sum(sv > 1e-3 * max(1.0, sv[0] if len(sv) else 1.0)):]
-    out = [center / np.linalg.norm(center)]
-    for y in null:
-        for eps in (0.3, 0.1, 0.03, 0.01, 0.003):
-            for s in (1.0, -1.0):
-                x = center + s * eps * y
-                nx = np.linalg.norm(x)
-                if nx < 1e-10:
-                    continue
-                x = x / nx
-                if _min_eigs(maps, x[None, :])[0] >= -tol:
-                    out.append(x)
-    return _clean_feasible(maps, np.asarray(out))
-
-
-def _analyze_cone(v: ParamSubspace, cone: str, tol: float, seed: int,
-                  multistarts: int):
-    """Extent, local maximizers, and a feasible spanning sample for one cone."""
-    maps = _cone_maps(v, cone)
-    n = v.n
-    grid = _sphere_grid(n, seed)
-    grid_vals = _min_eigs(maps, grid)
-    order = np.argsort(grid_vals)[::-1]
-    rng = np.random.default_rng(seed + 1)
-    starts = np.vstack([
-        grid[order[: min(24, len(grid))]],
-        rng.standard_normal((multistarts, n)),
-    ])
-    refined = _ascent(maps, starts)
-    refined_vals = _min_eigs(maps, refined)
-
-    # polish the best distinct candidates for a high-precision extent
-    best_order = np.argsort(refined_vals)[::-1]
-    polished, pol_vals = [], []
-    seen = set()
-    for idx in best_order:
-        key = tuple(np.round(refined[idx], 3))
-        if key in seen:
-            continue
-        seen.add(key)
-        x, val = _nm_polish(maps, refined[idx])
-        polished.append(x)
-        pol_vals.append(val)
-        if len(polished) >= 12:
-            break
-    polished = np.asarray(polished)
-    pol_vals = np.asarray(pol_vals)
-    extent = float(pol_vals.max())
-    if not np.isfinite(extent):
-        raise OptimizationFailedError(f"{cone} feasibility search diverged")
-
-    maximizers = _dedupe(polished[pol_vals >= -tol])
-
-    # feasible sample for span estimation: refine every candidate toward the
-    # feasible set, polish onto the boundary manifold, then enrich along the
-    # face of a relative-interior point
-    ortho = _frobenius_basis(maps)
-    candidates = np.vstack([refined, grid[order[: min(64, len(grid))]]])
-    pulled = _alternating_projection(maps, ortho, candidates)
-    pool = np.vstack([maximizers, pulled]) if len(pulled) else maximizers
-    if len(pool):
-        pool = pool[_min_eigs(maps, pool) >= -tol]
-    feas = _clean_feasible(maps, _dedupe(pool))
-    if len(feas):
-        enriched = _face_enrichment(maps, feas, tol)
-        if len(enriched):
-            feas = _dedupe(np.vstack([feas, enriched]))
-        best = float(_min_eigs(maps, feas).max())
-        extent = max(extent, best)
-    return extent, maximizers, feas
-
-
-def _span_dim(v: ParamSubspace, xs: np.ndarray) -> int:
-    """Rank of the witness collection in the 6-vector serialization."""
-    if len(xs) == 0:
-        return 0
-    mats = np.einsum("sk,kij->sij", xs, v.basis)
-    vec = np.stack([sym_to_vec6(m) for m in mats])
-    sv = np.linalg.svd(vec, compute_uv=False)
-    return int(np.sum(sv > RANK_TOL * sv[0]))
-
-
-def _witness_matrices(v: ParamSubspace, xs: np.ndarray) -> list:
-    return [np.einsum("k,kij->ij", x, v.basis) for x in xs]
-
-
-def feasible_extent(v: ParamSubspace, cone: str, tol: float = FEAS_TOL,
-                    seed: int = 0, multistarts: int = 200):
-    """Best achievable minimum eigenvalue over unit coordinate directions.
-
-    For cone "CP" the objective is lambda_min(sum_k x_k B_k); for cone "P"
-    it is lambda_min applied to the dissipation image.  Returns the extent
-    and the local maximizers with lambda_min >= -tol, as matrices in the
-    subspace.
-
-    Raises
-    ------
-    OptimizationFailedError
-        If no restart produced a finite value.
-    """
-    extent, maximizers, _ = _analyze_cone(v, cone, tol, seed, multistarts)
-    return extent, _witness_matrices(v, maximizers)
-
-
-def classify_subspace(v: ParamSubspace, tol: float = FEAS_TOL,
-                      band: tuple = BOUNDARY_BAND, seed: int = 0,
-                      multistarts: int = 200) -> ConeAnalysis:
+def classify_subspace(v: ParamSubspace, tol: float = FEAS_TOL) -> ConeAnalysis:
     """Classify a subspace into the six admissibility cases.
 
-    The label records whether nonzero admissible members exist under plain
-    positivity / complete positivity and whether those sets touch the cone
-    interiors; n_p and n_cp are the dimensions of their spans.  An extent
-    inside the boundary band is resolved conservatively as the boundary
-    case and flagged as ambiguous.
+    For each cone, facial reduction finds the smallest face of the PSD cone
+    holding the admissible members: rank 0 means only zero is admissible,
+    rank 3 that some admissible member lies in the cone interior, and rank 1
+    or 2 that the admissible set is confined to the cone boundary.  n_p and
+    n_cp are the dimensions of the subspace members supported on the face,
+    which the admissible sets span.  A boundary face is reported as the
+    boundary case and flagged as ambiguous.  ``extent_*`` is a signed depth:
+    lambda_min of the unit-norm central admissible member, or, when only
+    zero is admissible, minus that of the central member of the orthogonal
+    complement.  The witnesses are that central member and short steps from
+    it along an orthonormal basis of the face members, so they span the
+    admissible set.  Nothing depends on the frame, scale or choice of basis.
     """
-    lo, hi = band
-    extent_p, _, feas_p = _analyze_cone(v, "P", tol, seed, multistarts)
-    extent_cp, _, feas_cp = _analyze_cone(v, "CP", tol, seed, multistarts)
+    rank_p, n_p, extent_p, witnesses_p = _analyze_cone(v, "P", tol)
+    rank_cp, n_cp, extent_cp, witnesses_cp = _analyze_cone(v, "CP", tol)
 
-    p_empty = extent_p < lo
-    cp_empty = extent_cp < lo
-    p_boundary = lo <= extent_p <= hi
-    cp_boundary = lo <= extent_cp <= hi
+    p_boundary = 0 < rank_p < 3
+    cp_boundary = 0 < rank_cp < 3
     ambiguous = p_boundary or cp_boundary
 
-    if p_empty:
+    if rank_p == 0:
         label = "1"
-        feas_p = feas_p[:0]
-        feas_cp = feas_cp[:0]
-    elif cp_empty:
+        n_cp, witnesses_cp = 0, []
+    elif rank_cp == 0:
         label = "2a" if p_boundary else "2b"
-        feas_cp = feas_cp[:0]
     elif p_boundary and cp_boundary:
         label = "3a"
     elif cp_boundary:
@@ -480,12 +301,12 @@ def classify_subspace(v: ParamSubspace, tol: float = FEAS_TOL,
     return ConeAnalysis(
         case_label=label,
         n=v.n,
-        n_p=_span_dim(v, feas_p),
-        n_cp=_span_dim(v, feas_cp),
+        n_p=n_p,
+        n_cp=n_cp,
         extent_p=extent_p,
         extent_cp=extent_cp,
-        witnesses_p=_witness_matrices(v, feas_p),
-        witnesses_cp=_witness_matrices(v, feas_cp),
+        witnesses_p=witnesses_p,
+        witnesses_cp=witnesses_cp,
         ambiguous=ambiguous,
     )
 

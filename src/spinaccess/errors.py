@@ -21,9 +21,5 @@ class InfeasibleParametersError(SpinAccessError):
     """Supplied coordinates violate the requested positivity cone."""
 
 
-class OptimizationFailedError(SpinAccessError):
-    """No restart of a feasibility search converged."""
-
-
 class StepSizeError(SpinAccessError):
     """Integration step too coarse for the requested noise model."""

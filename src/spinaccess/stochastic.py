@@ -29,6 +29,12 @@ _FAMILIES = ("zero", "white", "exponential")
 #: PSD tolerance for the (beta_1, beta_3) covariance block.
 _COV_TOL = 1e-12
 
+#: Most realizations times steps one Monte Carlo run may take, five times
+#: the 2000 x 1000 README run.  At the bound, a CLI ``montecarlo`` of 100
+#: white-noise samples of 1e5 steps peaked at 0.54 GB resident and took
+#: 15 s on a 2-core host.
+MAX_SAMPLE_STEPS = 10_000_000
+
 
 @dataclass
 class CorrelationModel:
@@ -168,10 +174,17 @@ def _cov_sqrt(cov: np.ndarray) -> np.ndarray:
     return vecs @ np.diag(np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
 
 
-def _time_grid(dt: float, t_final: float) -> np.ndarray:
-    """Step durations covering [0, t_final] with a shortened final step."""
-    if dt <= 0 or t_final <= 0:
+def _time_grid(dt: float, t_final: float, n_samples: int = 1) -> np.ndarray:
+    """Step durations covering [0, t_final] with a shortened final step.
+
+    Raises ValueError, before allocating, when ``n_samples`` realizations
+    on the grid would exceed MAX_SAMPLE_STEPS.
+    """
+    if not (dt > 0 and t_final > 0):
         raise ValueError("dt and t_final must be positive")
+    if n_samples * (t_final / dt) > MAX_SAMPLE_STEPS:
+        raise ValueError(f"{n_samples} samples of {t_final / dt:.3g} steps exceed "
+                         f"{MAX_SAMPLE_STEPS} sample-steps")
     n_full = int(np.floor(t_final / dt + 1e-12))
     durations = [dt] * n_full
     rest = t_final - n_full * dt
@@ -309,7 +322,7 @@ def mc_validate(model: CorrelationModel, b3: float, u: float, v0: np.ndarray,
     if n_samples < 100:
         raise ValueError(f"need at least 100 samples, got {n_samples}")
     _check_mc_preconditions(model, dt)
-    durations = _time_grid(dt, t_final)
+    durations = _time_grid(dt, t_final, n_samples)
     times = np.concatenate([[0.0], np.cumsum(durations)])
 
     batch = 256

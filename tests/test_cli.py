@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -142,6 +143,28 @@ def test_evolve_json_format(tmp_path):
     assert len(data["times"]) == len(data["states"])
 
 
+def test_evolve_rejects_unbounded_schedule_at_once(tmp_path, capsys):
+    inp = tmp_path / "in.json"
+    write_json(inp, {"c": [1, 1, 1, 0, 0, 0], "h": [0, 0, 1], "v0": [0.5, 0, 0],
+                     "schedule": [[1e9, 1]], "dt": 1e-3})
+    start = time.perf_counter()
+    assert run(["evolve", "--input", inp]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "samples" in capsys.readouterr().err
+
+
+def test_evolve_rejects_non_finite_fields(tmp_path, capsys):
+    inp = tmp_path / "in.json"
+    for field, value in (("dt", float("nan")), ("schedule", [[1.0, float("inf")]]),
+                         ("h", [0, 0, float("nan")])):
+        data = {"c": [1, 1, 1, 0, 0, 0], "h": [0, 0, 1], "v0": [0.5, 0, 0],
+                "schedule": [[1.0, 1.0]], "dt": 0.1}
+        data[field] = value
+        write_json(inp, data)
+        assert run(["evolve", "--input", inp]) == 1, field
+        assert "finite" in capsys.readouterr().err, field
+
+
 def test_spin_field_zero_family(tmp_path):
     inp = tmp_path / "in.json"
     out = tmp_path / "out.json"
@@ -170,6 +193,30 @@ def test_montecarlo_zero_samples_is_input_error(tmp_path):
     write_json(inp, {"family": "white", "w11": 0.2, "b3": 1.0, "v0": [0.5, 0, 0],
                      "dt": 0.01, "t_final": 1.0, "n_samples": 0})
     assert run(["montecarlo", "--input", inp]) == 1
+
+
+def test_montecarlo_rejects_unbounded_grid_at_once(tmp_path, capsys):
+    inp = tmp_path / "in.json"
+    write_json(inp, {"family": "white", "w11": 0.2, "b3": 1.0, "v0": [0.5, 0, 0],
+                     "dt": 1e-9, "t_final": 1.0, "n_samples": 100})
+    start = time.perf_counter()
+    assert run(["montecarlo", "--input", inp]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "sample-steps" in capsys.readouterr().err
+
+
+def test_montecarlo_rejects_non_finite_fields(tmp_path, capsys):
+    inp = tmp_path / "in.json"
+    write_json(inp, {"family": "white", "w11": float("inf"), "b3": 1.0,
+                     "v0": [0.5, 0, 0], "dt": 0.01, "t_final": 1.0, "n_samples": 100})
+    assert run(["montecarlo", "--input", inp]) == 1
+    assert "finite" in capsys.readouterr().err
+
+
+def test_classify_rejects_unbounded_draws(tmp_path):
+    inp = tmp_path / "in.json"
+    write_json(inp, {"basis": [[1, 1, 1, 0, 0, 0]], "draws": 1e12})
+    assert run(["classify", "--input", inp]) == 1
 
 
 def test_montecarlo_report(tmp_path):
