@@ -27,7 +27,9 @@ EXIT_INPUT = 1
 EXIT_DOMAIN = 2
 EXIT_MISMATCH = 3
 
-#: Most random draws the rank-drop certificate may be asked for.
+#: Largest accepted ``draws`` in a classify input.  The certificate is exact
+#: and draws nothing; the key is still validated so old input files keep
+#: their meaning.
 MAX_DRAWS = 10_000
 
 
@@ -143,7 +145,7 @@ def cmd_classify(args) -> int:
         raise _fail_input(f"field 'draws' must be between 1 and {MAX_DRAWS}, got {draws}")
     tol = args.tolerances.get("feas", 1e-9)
     analysis = classify_subspace(v, tol=tol)
-    verdict = rank_drop_certificate(v, draws=draws, seed=args.seed)
+    verdict = rank_drop_certificate(v)
     out = {
         "case": analysis.case_label,
         "n": analysis.n,

@@ -17,12 +17,16 @@ either the subspace holds a definite matrix, or a nonzero PSD matrix Y is
 orthogonal to it and every admissible member lives on the face ker Y.  A
 log-det barrier, which is concave and has one maximizer, finds the central
 point and Y together; in 3x3 at most three reductions reach the answer.
+
+K is computed without search: the common zeros of the forms w^T B w split
+along singular members of their pencil (Richter-Gebert, Perspectives on
+Projective Geometry, 2011, ch. 11).  The basis returned for K is
+orthonormal, and isotropic itself only when K is a line.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .generator import (dissipation_from_kossakowski, kossakowski_from_dissipation,
                         require_symmetric, sym_to_vec6, vec6_to_sym)
@@ -44,11 +48,10 @@ class ParamSubspace:
 
     ``basis`` has shape (n, 3, 3) with 1 <= n <= 6 linearly independent
     symmetric elements.  Coordinates theta always refer to this basis as
-    given; a Frobenius-normalized copy is kept for the numerical searches.
+    given.
     """
 
     basis: np.ndarray
-    normalized: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=float)
@@ -63,15 +66,11 @@ class ParamSubspace:
         norms = np.linalg.norm(basis.reshape(n, 9), axis=1)
         if np.any(norms < 1e-14):
             raise ValueError("basis contains a zero element")
-        self.normalized = basis / norms[:, None, None]
-        # independence: the Gram matrix of the 6-vector forms must have rank n
-        gram = self._vec6(self.normalized) @ self._vec6(self.normalized).T
-        if np.linalg.svd(gram, compute_uv=False)[-1] <= 1e-10:
+        # independence: the Gram matrix of the normalized 6-vector forms
+        # must have rank n
+        rows = np.stack([sym_to_vec6(b / norm) for b, norm in zip(basis, norms)])
+        if np.linalg.svd(rows @ rows.T, compute_uv=False)[-1] <= 1e-10:
             raise ValueError("basis elements are not linearly independent")
-
-    @staticmethod
-    def _vec6(mats):
-        return np.stack([sym_to_vec6(m) for m in mats])
 
     @classmethod
     def from_vec6(cls, rows) -> "ParamSubspace":
@@ -122,7 +121,10 @@ class ConeAnalysis:
 
 @dataclass
 class IsotropicSpan:
-    """Orthonormal directions w with w^T B w = 0 for every basis element B."""
+    """Span K of the directions w with w^T B w = 0 for every member B.
+
+    ``k_basis`` is an orthonormal basis of K, isotropic only when k_dim = 1.
+    """
 
     k_basis: np.ndarray  # (k_dim, 3)
     k_dim: int
@@ -315,177 +317,125 @@ def classify_subspace(v: ParamSubspace, tol: float = FEAS_TOL) -> ConeAnalysis:
 # common isotropic directions and the rank-drop certificate
 # ---------------------------------------------------------------------------
 
-def _isotropic_solve(forms: np.ndarray, w0: np.ndarray, deflate=None):
-    """One least-squares descent of the stacked forms from w0."""
+#: A unit-norm form vanishes on a subspace when its restriction is this small.
+_ISOTROPIC_TOL = 1e-8
 
-    def residuals(w):
-        s = w @ w
-        res = np.einsum("i,kij,j->k", w, forms, w) / s
-        if deflate is not None and len(deflate):
-            res = np.concatenate([res, (deflate @ w) / np.sqrt(s)])
-        return res
+#: Directions, and linear quantities of them such as B w, are known to about
+#: sqrt(eps) at a tangency; above this they count as nonzero.
+_DIRECTION_TOL = 1e-6
 
-    def jac(w):
-        s = w @ w
-        fw = np.einsum("kij,j->ki", forms, w)
-        qw = np.einsum("i,kij,j->k", w, forms, w)
-        rows = 2.0 * (fw * s - qw[:, None] * w[None, :]) / s**2
-        if deflate is not None and len(deflate):
-            pw = deflate @ w
-            extra = (deflate * np.sqrt(s) - pw[:, None] * w[None, :] / np.sqrt(s)) / s
-            rows = np.vstack([rows, extra])
-        return rows
+#: Gauss-Newton starts only from directions with at most this residual.
+_NEAR_HIT = 1e-3
 
-    with np.errstate(invalid="ignore", divide="ignore"):
-        res = least_squares(residuals, w0, jac=jac, xtol=1e-14, ftol=1e-14,
-                            gtol=1e-14)
-    return res.x
+#: A form is singular when |smallest eigenvalue| <= this * |largest|.
+_SINGULAR_CUT = 1e-12
 
 
-def _isotropic_polish(forms: np.ndarray, w: np.ndarray, iters: int = 60):
-    """Gauss-Newton refinement of w onto the common zero set of the forms.
+def _polish(forms: np.ndarray, w: np.ndarray):
+    """Refine a unit direction onto the common zeros of the forms, or None.
 
-    The least-squares cost is quartic in the off-set components, so descent
-    methods stall around 1e-5; the Gauss-Newton step halves the distance per
-    iteration and reaches machine precision.
+    Gauss-Newton steps are taken orthogonal to w, from near-hits only, and
+    the best iterate is kept: at a tangency convergence is only linear, and
+    where every form has w in its kernel the Jacobian vanishes.
     """
-    w = w / np.linalg.norm(w)
-    for _ in range(iters):
-        resid = np.einsum("i,kij,j->k", w, forms, w)
-        if np.max(np.abs(resid)) < 1e-17:
+    best, best_res = None, np.inf
+    for _ in range(40):
+        res = np.einsum("i,kij,j->k", w, forms, w)
+        if np.abs(res).max() < best_res:
+            best, best_res = w, np.abs(res).max()
+        if not 1e-16 < best_res <= _NEAR_HIT:
             break
         jac = 2.0 * np.einsum("kij,j->ki", forms, w)
-        delta, *_ = np.linalg.lstsq(jac, -resid, rcond=None)
-        w = w + delta
-        nw = np.linalg.norm(w)
-        if nw < 1e-8:
-            return None
-        w = w / nw
-    return w
+        jac -= np.outer(jac @ w, w)
+        w = w - np.linalg.lstsq(jac, res, rcond=None)[0]
+        w /= np.linalg.norm(w)
+    return best if best_res <= _ISOTROPIC_TOL else None
 
 
-def _isotropic_hits(forms: np.ndarray, seed: int, starts: int, tol: float,
-                    deflate: np.ndarray = None):
-    """Unit directions with w^T B w = 0 for every form, by multistart search.
+def _split(g: np.ndarray) -> list:
+    """Subspaces whose union holds the zeros of g, in g's coordinates.
 
-    ``deflate`` (rows of an orthonormal set) adds penalty residuals pushing
-    the search outside the span already found.  Every candidate is re-polished
-    against the bare forms, so near-misses collapse back onto the true
-    isotropic set instead of surviving as spurious off-span directions, and
-    is accepted only well below the nominal tolerance.
+    The kernel of g is spanned by its eigenvectors past the two of largest
+    magnitude.  If that pair is indefinite, each of its null directions
+    joins the kernel; if it is nearly singular, its second direction does.
+    Erring large is safe: every piece is searched again with every form.
     """
-    accept = tol * 1e-2
-    rng = np.random.default_rng(seed)
-    seeds = np.vstack([np.eye(3), rng.standard_normal((starts, 3))])
-    hits = []
-    for w0 in seeds:
-        w = w0 / np.linalg.norm(w0)
-        if np.max(np.abs(np.einsum("i,kij,j->k", w, forms, w))) >= accept:
-            w = _isotropic_solve(forms, w, deflate)
-            nw = np.linalg.norm(w)
-            if nw < 1e-8:
-                continue
-            w = w / nw
-        w = _isotropic_polish(forms, w)
-        if w is None:
-            continue
-        if np.max(np.abs(np.einsum("i,kij,j->k", w, forms, w))) < accept:
-            if w[np.argmax(np.abs(w))] < 0:
-                w = -w
-            hits.append(w)
-    return hits
+    vals, vecs = np.linalg.eigh(g)
+    order = np.argsort(-np.abs(vals))
+    vals, vecs = vals[order] / vals[order[0]], vecs[:, order]
+    second, kernel = vals[1], vecs[:, 2:]
+    if second < 0.0:
+        r = np.sqrt(-second)
+        return [np.column_stack([(r * vecs[:, 0] + s * vecs[:, 1]) / np.hypot(r, 1.0), kernel])
+                for s in (1.0, -1.0)]
+    if second <= _ISOTROPIC_TOL:
+        return [vecs[:, 1:]]
+    return [kernel] if kernel.shape[1] else []
 
 
-def _orthonormal_isotropic(forms: np.ndarray, target: int, seed: int,
-                           starts: int, tol: float):
-    """Mutually orthonormal isotropic directions, greedily deflated."""
-    found = []
-    while len(found) < target:
-        deflate = np.asarray(found) if found else None
-        sub = _isotropic_hits(forms, seed + 7 * len(found), starts, tol, deflate)
-        pick = None
-        for w in sub:
-            if not found or np.max(np.abs(np.asarray(found) @ w)) < 1e-9:
-                pick = w
-                break
-        if pick is None:
-            break
-        found.append(pick)
-    return found
+def _singular_member(forms: np.ndarray):
+    """A singular member of the span of the forms, or None for one nonsingular form.
 
-
-def isotropic_span(v: ParamSubspace, seed: int = 0, starts: int = 48,
-                   tol: float = 1e-8) -> IsotropicSpan:
-    """Span of the directions annihilating every quadratic form of the basis.
-
-    Directions are found by multistart least-squares minimization of the
-    stacked forms w^T B_k w on the unit sphere, with deflation passes pushed
-    outside the span already found; the span dimension is the rank of the
-    hit collection.  The returned basis is orthonormal, built from isotropic
-    directions whenever an orthonormal isotropic set of full span dimension
-    exists (it does for all entry-pattern subspaces).
+    Either of the first two forms, when singular; otherwise the pencil member
+    g1 + lambda g2 at the real root of det(g1 + lambda g2) farthest from the
+    other roots, which is the one known to full precision.
     """
-    forms = v.normalized
-    hits = _isotropic_hits(forms, seed, starts, tol)
-    span_basis = []
-    for _ in range(3):
-        if not hits:
-            break
-        stack = np.asarray(hits)
-        sv = np.linalg.svd(stack, compute_uv=False)
-        dim = int(np.sum(sv > 1e-6 * sv[0]))
-        if len(span_basis) == dim == 3:
-            break
-        q = np.linalg.svd(stack, full_matrices=False)[2][:dim]
-        span_basis = list(q)
-        if dim == 3:
-            break
-        more = _isotropic_hits(forms, seed + 101, starts, tol,
-                               deflate=np.asarray(span_basis))
-        fresh = [w for w in more
-                 if np.linalg.norm(w - np.asarray(span_basis).T
-                                   @ (np.asarray(span_basis) @ w)) > 1e-3]
-        if not fresh:
-            break
-        hits.extend(fresh)
-    if not hits:
-        return IsotropicSpan(k_basis=np.zeros((0, 3)), k_dim=0)
-    k_dim = len(span_basis)
-    ortho_iso = _orthonormal_isotropic(forms, k_dim, seed, starts, tol)
-    if len(ortho_iso) == k_dim:
-        k_basis = np.asarray(ortho_iso)
-    else:
-        k_basis = np.asarray(span_basis)
-    return IsotropicSpan(k_basis=k_basis, k_dim=k_dim)
+    first = forms[:2]
+    vals = np.abs(np.linalg.eigvalsh(first))
+    singular = vals.min(axis=1) <= _SINGULAR_CUT * vals.max(axis=1)
+    if singular.any():
+        return first[np.argmax(singular)]
+    if len(forms) == 1:
+        return None
+    roots = -np.linalg.eigvals(np.linalg.solve(forms[1], forms[0]))
+    gaps = [np.min(np.abs(np.delete(roots, i) - root)) for i, root in enumerate(roots)]
+    pick = max((i for i in range(3) if roots[i].imag == 0.0), key=lambda i: gaps[i])
+    return forms[0] + roots[pick].real * forms[1]
 
 
-def rank_drop_certificate(v: ParamSubspace, draws: int = 32, seed: int = 0,
-                          tol: float = 1e-8) -> str:
+def _pieces(forms: np.ndarray, u: np.ndarray) -> list:
+    """Orthonormal bases of subspaces of range(u) whose span is that of the common zeros in it."""
+    if u.shape[1] == 1:
+        w = _polish(forms, u[:, 0])
+        return [] if w is None else [w[:, None]]
+    restricted = np.einsum("ia,kij,jb->kab", u, forms, u)
+    if np.linalg.norm(restricted, axis=(1, 2)).max() <= _ISOTROPIC_TOL:
+        return [u]
+    g = (np.linalg.svd(restricted.reshape(len(forms), 4))[2][0].reshape(2, 2)
+         if u.shape[1] == 2 else _singular_member(forms))
+    if g is None:  # one nonsingular form: its zeros are {0} or a cone spanning R^3
+        vals = np.linalg.eigvalsh(forms[0])
+        return [u] if vals[0] < 0.0 < vals[-1] else []
+    return [piece for z in _split(g) for piece in _pieces(forms, u @ z)]
+
+
+def isotropic_span(v: ParamSubspace) -> IsotropicSpan:
+    """Span K of the directions w with w^T B w = 0 for every member B.
+
+    The zeros of a singular member lie in at most two proper subspaces; each
+    is searched again with every form, down to lines refined by Gauss-Newton.
+    Nothing depends on the basis, scale or frame of the subspace.
+    """
+    pieces = _pieces(_orthonormal(v.basis), np.eye(3))
+    left, sv, _ = np.linalg.svd(np.hstack([np.zeros((3, 0))] + pieces))
+    k_dim = int(np.sum(sv > _DIRECTION_TOL))
+    return IsotropicSpan(k_basis=left[:, :k_dim].T, k_dim=k_dim)
+
+
+def rank_drop_certificate(v: ParamSubspace) -> str:
     """Rank-drop certificate from the common isotropic span K.
 
-    Returns "condition1" when dim K = 1 and C(theta) K != 0 for a majority
-    of generic coordinate draws, "condition2" when dim K = 2 and the form
-    restricted to K has a nonzero off-diagonal element in some orthonormal
-    basis of K (equivalently, is not a multiple of the identity on K), and
-    "none" otherwise.  A nonzero verdict certifies n_p > n_cp != 0.
+    Returns "condition1" when dim K = 1 and B w != 0 for some member B and
+    the direction w spanning K, "condition2" when dim K = 2 and some member
+    restricted to K is not a multiple of the identity, and "none" otherwise.
+    A nonzero verdict certifies n_p > n_cp != 0.
     """
-    span = isotropic_span(v, seed=seed)
-    rng = np.random.default_rng(seed)
-    thetas = rng.uniform(-1.0, 1.0, size=(draws, v.n))
-    if span.k_dim == 1:
-        w = span.k_basis[0]
-        hits = 0
-        for theta in thetas:
-            if np.max(np.abs(v.matrix(theta) @ w)) > tol:
-                hits += 1
-        return "condition1" if hits > draws // 2 else "none"
+    span, forms = isotropic_span(v), _orthonormal(v.basis)
+    if span.k_dim == 1 and np.abs(forms @ span.k_basis[0]).max() > _DIRECTION_TOL:
+        return "condition1"
     if span.k_dim == 2:
-        q = span.k_basis.T  # (3, 2)
-        hits = 0
-        for theta in thetas:
-            f = q.T @ v.matrix(theta) @ q
-            # largest off-diagonal over all rotations of the orthonormal pair
-            if np.hypot(0.5 * (f[0, 0] - f[1, 1]), f[0, 1]) > tol:
-                hits += 1
-        return "condition2" if hits > draws // 2 else "none"
+        f = span.k_basis @ forms @ span.k_basis.T
+        # the traceless part on K, largest over its orthonormal bases
+        if np.hypot(0.5 * (f[:, 0, 0] - f[:, 1, 1]), f[:, 0, 1]).max() > _DIRECTION_TOL:
+            return "condition2"
     return "none"

@@ -219,6 +219,20 @@ def test_classify_rejects_unbounded_draws(tmp_path):
     assert run(["classify", "--input", inp]) == 1
 
 
+def test_classify_ignores_seed_and_draws(tmp_path):
+    # the certificate is exact: neither --seed nor draws changes a byte
+    outputs = []
+    for draws, seed in ((1, 0), (32, 0), (32, 7)):
+        inp = tmp_path / f"in-{draws}-{seed}.json"
+        out = tmp_path / f"out-{draws}-{seed}.json"
+        # corner plus coupling: boundary case with a condition2 certificate
+        write_json(inp, {"basis": [[0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0]], "draws": draws})
+        assert run(["classify", "--input", inp, "--output", out, "--seed", seed]) == 2
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert json.loads(outputs[0])["certificate"] == "condition2"
+
+
 def test_montecarlo_report(tmp_path):
     inp = tmp_path / "in.json"
     out = tmp_path / "out.json"

@@ -124,17 +124,23 @@ def test_rank_drop_certificate_matches_span_gap():
         assert (verdict != "none") == gap, name
 
 
+def _rotation(axis, angle):
+    """Rodrigues' formula: the rotation by angle about a unit axis."""
+    k = np.array([[0.0, -axis[2], axis[1]],
+                  [axis[2], 0.0, -axis[0]],
+                  [-axis[1], axis[0], 0.0]])
+    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+
 def test_orthogonal_invariance():
-    rng = np.random.default_rng(11)
-    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    for name, kwargs, case, n_p, n_cp, k_dim, verdict in [PATTERNS[2], PATTERNS[7]]:
+    # a random frame, and the benchmark's fixed frame C -> 1e3 Q C Q^T, also at scale 1
+    random = np.linalg.qr(np.random.default_rng(11).standard_normal((3, 3)))[0]
+    fixed = _rotation(np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0), 0.7)
+    for index, (_, kwargs, *_) in enumerate(PATTERNS):
         v = build(kwargs)
-        conj = ParamSubspace(np.stack([q.T @ b @ q for b in v.basis]))
-        analysis = classify_subspace(conj)
-        assert analysis.case_label == case
-        assert (analysis.n_p, analysis.n_cp) == (n_p, n_cp)
-        assert isotropic_span(conj).k_dim == k_dim
-        assert rank_drop_certificate(conj) == verdict
+        for q, scale in ((random.T, 1.0), (fixed, 1e3), (fixed, 1.0)):
+            conj = ParamSubspace(np.stack([scale * q @ b @ q.T for b in v.basis]))
+            _assert_same_classification(index, conj)
 
 
 def test_tangent_slice_spans_three_dimensions():
@@ -153,18 +159,16 @@ _UNIT_ENTRIES = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
 
 def _assert_same_classification(index, rewritten):
-    """Same verdicts as the pattern, and witnesses inside subspace and cone.
-
-    The isotropic dimension k_dim and the rank-drop certificate are left
-    out: isotropic_span still searches from seeded starts and does not yet
-    give frame-independent answers.
-    """
-    name, _, case, n_p, n_cp, _, _ = PATTERNS[index]
+    """Same verdicts, k_dim and certificate as the pattern, and witnesses inside subspace and cone."""
+    name, _, case, n_p, n_cp, k_dim, verdict = PATTERNS[index]
     analysis = classify_subspace(rewritten)
     assert (analysis.case_label, analysis.n_p, analysis.n_cp) == (case, n_p, n_cp), name
+    assert isotropic_span(rewritten).k_dim == k_dim, name
+    assert rank_drop_certificate(rewritten) == verdict, name
     # exactly the labels with an admissible set on a cone boundary
     assert analysis.ambiguous == (case in ("2a", "3a", "3b")), name
-    rows = np.stack([sym_to_vec6(b) for b in rewritten.normalized])
+    # normalized first: raw rows at scales 1e+-6 lose the small directions
+    rows = np.stack([sym_to_vec6(b / np.linalg.norm(b)) for b in rewritten.basis])
     span = np.linalg.svd(rows, full_matrices=False)[2]
     for witnesses, to_cone in ((analysis.witnesses_p, dissipation_from_kossakowski),
                                (analysis.witnesses_cp, lambda w: w)):
