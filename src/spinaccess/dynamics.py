@@ -56,8 +56,12 @@ class Trajectory:
 
     def __post_init__(self):
         if self.violations is None:
-            self.violations = np.array(
-                [not is_physical(s, VIOLATION_TOL) for s in self.states])
+            # the same per-row dot product as is_physical's v @ v, so the
+            # flags match it to the last bit; negating <= flags NaN states,
+            # as is_physical does
+            states = np.asarray(self.states, dtype=float)
+            sq = (states[:, None, :] @ states[:, :, None]).reshape(-1)
+            self.violations = ~(sq <= 0.25 + VIOLATION_TOL)
 
     @property
     def exited_ball(self) -> bool:

@@ -31,8 +31,8 @@ _COV_TOL = 1e-12
 
 #: Most realizations times steps one Monte Carlo run may take, five times
 #: the 2000 x 1000 README run.  At the bound, a CLI ``montecarlo`` of 100
-#: white-noise samples of 1e5 steps peaked at 0.54 GB resident and took
-#: 15 s on a 2-core host.
+#: samples of 1e5 steps, white or exponential, peaked at 0.22 GB resident
+#: (0.16 GB of it the batch's noise draws) and took 12 s on a 2-core host.
 MAX_SAMPLE_STEPS = 10_000_000
 
 
@@ -193,36 +193,39 @@ def _time_grid(dt: float, t_final: float, n_samples: int = 1) -> np.ndarray:
     return np.asarray(durations)
 
 
-def _noise_values(model: CorrelationModel, durations: np.ndarray,
-                  seed: int, sample_indices) -> np.ndarray:
-    """Per-step field values (len(samples), n_steps, 2), held on each step.
+def _field_steps(model: CorrelationModel, durations: np.ndarray,
+                 seed: int, sample_indices):
+    """Yield the field values (len(samples), 2) held on each step, in order.
 
     Each sample k draws from an independent stream seeded by (seed, k), so
     ensemble runs are reproducible and any single member can be regenerated
-    in isolation.
+    in isolation.  The streams are drawn whole up front; the steps then run
+    across all samples at once.
     """
     n_steps = len(durations)
     root = _cov_sqrt(model.covariance)
-    betas = np.empty((len(sample_indices), n_steps, 2))
-    if model.family == "white":
-        scale = 1.0 / np.sqrt(durations)
-        for row, k in enumerate(sample_indices):
-            rng = np.random.default_rng([seed, k])
-            z = rng.standard_normal((n_steps, 2))
-            betas[row] = (z @ root.T) * scale[:, None]
-        return betas
-    # exponential: stationary bivariate Ornstein-Uhlenbeck chain with exact
-    # one-step conditional updates, field held at the step-start value
-    phi = np.exp(-durations / model.tau)
-    innov = np.sqrt(1.0 - phi**2)
+    white = model.family == "white"
+    # white: one independent draw per step; exponential: the stationary
+    # initial value plus one innovation per step
+    n_draws = n_steps if white else n_steps + 1
+    z = np.empty((len(sample_indices), n_draws, 2))
     for row, k in enumerate(sample_indices):
         rng = np.random.default_rng([seed, k])
-        z = rng.standard_normal((n_steps + 1, 2)) @ root.T
-        beta = z[0]
+        z[row] = rng.standard_normal((n_draws, 2)) @ root.T
+    if white:
+        scale = 1.0 / np.sqrt(durations)
         for j in range(n_steps):
-            betas[row, j] = beta
-            beta = phi[j] * beta + innov[j] * z[j + 1]
-    return betas
+            yield z[:, j] * scale[j]
+        return
+    # exponential: stationary bivariate Ornstein-Uhlenbeck chain with exact
+    # one-step conditional updates (Gillespie 1996), field held at the
+    # step-start value
+    phi = np.exp(-durations / model.tau)
+    innov = np.sqrt(1.0 - phi**2)
+    beta = z[:, 0]
+    for j in range(n_steps):
+        yield beta
+        beta = phi[j] * beta + innov[j] * z[:, j + 1]
 
 
 def _rotate_states(states: np.ndarray, h: np.ndarray, dt: float) -> np.ndarray:
@@ -234,25 +237,26 @@ def _rotate_states(states: np.ndarray, h: np.ndarray, dt: float) -> np.ndarray:
     axis = np.where(small[:, None], 0.0, omega / np.where(small, 1.0, speed)[:, None])
     cos_t = np.cos(theta)[:, None]
     sin_t = np.sin(theta)[:, None]
-    cross = np.cross(axis, states)
+    # the cross product by components: np.cross spends most of its time on
+    # axis handling for arrays this small
+    a0, a1, a2 = axis.T
+    s0, s1, s2 = states.T
+    cross = np.stack([a1 * s2 - a2 * s1, a2 * s0 - a0 * s2, a0 * s1 - a1 * s0], axis=1)
     dot = np.einsum("ij,ij->i", axis, states)[:, None]
     return states * cos_t + cross * sin_t + axis * dot * (1.0 - cos_t)
 
 
-def _ensemble_states(model, b3, u, v0, durations, seed, sample_indices):
-    """States of all requested samples on the grid: (n, n_steps + 1, 3)."""
-    betas = _noise_values(model, durations, seed, sample_indices)
+def _state_steps(model, b3, u, v0, durations, seed, sample_indices):
+    """Yield the states (len(samples), 3) at each grid time, v0 first."""
     n = len(sample_indices)
     states = np.tile(np.asarray(v0, dtype=float), (n, 1))
-    out = np.empty((n, len(durations) + 1, 3))
-    out[:, 0] = states
-    for j, dt_j in enumerate(durations):
-        h = np.zeros((n, 3))
-        h[:, 0] = betas[:, j, 0]
-        h[:, 2] = u * b3 + betas[:, j, 1]
+    yield states
+    h = np.zeros((n, 3))
+    for dt_j, beta in zip(durations, _field_steps(model, durations, seed, sample_indices)):
+        h[:, 0] = beta[:, 0]
+        h[:, 2] = u * b3 + beta[:, 1]
         states = _rotate_states(states, h, dt_j)
-        out[:, j + 1] = states
-    return out
+        yield states
 
 
 def _check_mc_preconditions(model: CorrelationModel, dt: float):
@@ -280,7 +284,7 @@ def mc_sample(model: CorrelationModel, b3: float, u: float, v0: np.ndarray,
     """
     _check_mc_preconditions(model, dt)
     durations = _time_grid(dt, t_final)
-    states = _ensemble_states(model, b3, u, v0, durations, seed, [0])[0]
+    states = np.concatenate(list(_state_steps(model, b3, u, v0, durations, seed, [0])))
     times = np.concatenate([[0.0], np.cumsum(durations)])
     return Trajectory(
         times=times,
@@ -313,9 +317,16 @@ def mc_validate(model: CorrelationModel, b3: float, u: float, v0: np.ndarray,
     Averages ``n_samples`` realizations (sub-seeded deterministically from
     ``seed``), propagates the same initial state with the closed-form
     generator, and reports componentwise deviations with their standard
-    errors.  A ``within_3se`` value of False flags a regime where the
-    memoryless approximation is not statistically consistent with the
-    ensemble.
+    errors.
+
+    ``within_3se`` is a pointwise test: every (time, component) deviation,
+    about 3000 of them on a 1000-step grid, must lie within 3 standard
+    errors, with no allowance for their number.  It therefore reads False
+    on correct runs too, at some seeds for white noise and at every seed
+    tried for the exponential family, and a False value alone does not
+    show that the memoryless approximation fails.  ``max_se_ratio`` gives
+    the worst deviation in standard errors, to be judged against the
+    number of comparisons.
     """
     from scipy.linalg import expm
 
@@ -330,9 +341,9 @@ def mc_validate(model: CorrelationModel, b3: float, u: float, v0: np.ndarray,
     total_sq = np.zeros((len(times), 3))
     for start in range(0, n_samples, batch):
         idx = range(start, min(start + batch, n_samples))
-        states = _ensemble_states(model, b3, u, v0, durations, seed, idx)
-        total += states.sum(axis=0)
-        total_sq += (states**2).sum(axis=0)
+        for j, states in enumerate(_state_steps(model, b3, u, v0, durations, seed, idx)):
+            total[j] += states.sum(axis=0)
+            total_sq[j] += (states**2).sum(axis=0)
     mean = total / n_samples
     var = np.maximum(total_sq / n_samples - mean**2, 0.0) * n_samples / max(n_samples - 1, 1)
     se = np.sqrt(var / n_samples)

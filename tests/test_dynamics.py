@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from spinaccess import (ControlSchedule, UnphysicalStateError,
+from spinaccess import (ControlSchedule, Trajectory, UnphysicalStateError,
                         dissipation_from_kossakowski, evolve_schedule,
-                        expectation_sz, hamiltonian_matrix, lindblad_superop,
-                        propagate, sz_derivatives)
+                        expectation_sz, hamiltonian_matrix, is_physical,
+                        lindblad_superop, propagate, sz_derivatives)
+from spinaccess.dynamics import VIOLATION_TOL
 
 
 def rk4_propagate(l, v0, t, steps=20000):
@@ -160,6 +161,28 @@ def test_bloch_ball_violation_is_flagged():
     norms = np.sqrt(traj.purities)
     assert np.max(norms) > 0.5 + 1e-6
     assert traj.exited_ball
+
+
+def test_violation_flags_match_is_physical():
+    rng = np.random.default_rng(12)
+    limit = 0.25 + VIOLATION_TOL
+    # states whose |v|^2 walks through the threshold in steps of an ulp
+    near = []
+    for d in rng.standard_normal((200, 3)):
+        v = d * np.sqrt(limit) / np.linalg.norm(d)
+        for k in range(-8, 9):
+            near.append([v[0] + k * np.spacing(v[0]), v[1], v[2]])
+    near = np.array(near)
+    assert {np.nextafter(limit, 0.0), limit, np.nextafter(limit, 1.0)} <= \
+        {v @ v for v in near}
+    bulk = rng.standard_normal((2000, 3)) * rng.uniform(0.0, 0.6, (2000, 1))
+    states = np.vstack([near, bulk, [[np.nan, 0, 0], [np.inf, 0, 0]]])
+    traj = Trajectory(times=np.arange(len(states), dtype=float), states=states,
+                      purities=np.einsum("ij,ij->i", states, states),
+                      controls=np.zeros(len(states)))
+    expected = [not is_physical(v, VIOLATION_TOL) for v in states]
+    assert np.array_equal(traj.violations, expected)
+    assert 0 < traj.violations.sum() < len(states)
 
 
 def test_expectation_sz_examples():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -8,6 +10,8 @@ from spinaccess import (CorrelationModel, InvalidModelError, StepSizeError,
                         family_lie_dimension, lie_closure, mc_sample,
                         mc_validate, positivity_admissible, propagate,
                         sz_derivatives)
+from spinaccess.stochastic import (_cov_sqrt, _field_steps, _state_steps,
+                                   _time_grid)
 
 
 def quad_coefficients(w11, w13, w33, tau, b3):
@@ -242,3 +246,122 @@ def test_mc_strong_memory_is_flagged():
                          t_final=5.0, n_samples=400, seed=3)
     assert not report.within_3se
     assert report.max_deviation > 0.05
+
+
+# ---------------------------------------------------------------------------
+# the batched Monte Carlo stepping against the per-sample loops it replaced
+# ---------------------------------------------------------------------------
+
+def reference_noise_values(model, durations, seed, sample_indices):
+    """Per-sample loop over the steps: field values (n, n_steps, 2)."""
+    n_steps = len(durations)
+    root = _cov_sqrt(model.covariance)
+    betas = np.empty((len(sample_indices), n_steps, 2))
+    if model.family == "white":
+        scale = 1.0 / np.sqrt(durations)
+        for row, k in enumerate(sample_indices):
+            rng = np.random.default_rng([seed, k])
+            z = rng.standard_normal((n_steps, 2))
+            betas[row] = (z @ root.T) * scale[:, None]
+        return betas
+    phi = np.exp(-durations / model.tau)
+    innov = np.sqrt(1.0 - phi**2)
+    for row, k in enumerate(sample_indices):
+        rng = np.random.default_rng([seed, k])
+        z = rng.standard_normal((n_steps + 1, 2)) @ root.T
+        beta = z[0]
+        for j in range(n_steps):
+            betas[row, j] = beta
+            beta = phi[j] * beta + innov[j] * z[j + 1]
+    return betas
+
+
+def reference_rotate(states, h, dt):
+    """Rodrigues step with np.cross."""
+    omega = 2.0 * h
+    speed = np.linalg.norm(omega, axis=1)
+    theta = speed * dt
+    small = speed < 1e-300
+    axis = np.where(small[:, None], 0.0, omega / np.where(small, 1.0, speed)[:, None])
+    cos_t = np.cos(theta)[:, None]
+    sin_t = np.sin(theta)[:, None]
+    cross = np.cross(axis, states)
+    dot = np.einsum("ij,ij->i", axis, states)[:, None]
+    return states * cos_t + cross * sin_t + axis * dot * (1.0 - cos_t)
+
+
+def reference_ensemble_states(model, b3, u, v0, durations, seed, sample_indices):
+    """All states of the requested samples on the grid: (n, n_steps + 1, 3)."""
+    betas = reference_noise_values(model, durations, seed, sample_indices)
+    n = len(sample_indices)
+    states = np.tile(np.asarray(v0, dtype=float), (n, 1))
+    out = np.empty((n, len(durations) + 1, 3))
+    out[:, 0] = states
+    for j, dt_j in enumerate(durations):
+        h = np.zeros((n, 3))
+        h[:, 0] = betas[:, j, 0]
+        h[:, 2] = u * b3 + betas[:, j, 1]
+        states = reference_rotate(states, h, dt_j)
+        out[:, j + 1] = states
+    return out
+
+
+def reference_mean_and_se(model, b3, u, v0, durations, seed, n_samples):
+    """Build each batch's states, then sum them: mean and standard error."""
+    total = np.zeros((len(durations) + 1, 3))
+    total_sq = np.zeros((len(durations) + 1, 3))
+    for start in range(0, n_samples, 256):
+        idx = range(start, min(start + 256, n_samples))
+        states = reference_ensemble_states(model, b3, u, v0, durations, seed, idx)
+        total += states.sum(axis=0)
+        total_sq += (states**2).sum(axis=0)
+    mean = total / n_samples
+    var = np.maximum(total_sq / n_samples - mean**2, 0.0) * n_samples / (n_samples - 1)
+    return mean, np.sqrt(var / n_samples)
+
+
+MC_MODELS = [
+    CorrelationModel("white", w11=0.3, w13=0.1, w33=0.2),
+    CorrelationModel("exponential", w33=1.0, tau=0.1),
+    CorrelationModel("exponential", w11=1.0, w13=0.3, w33=1.0, tau=0.1),
+]
+
+
+@pytest.mark.parametrize("model", MC_MODELS, ids=["white", "dephasing", "bivariate"])
+def test_mc_stepping_matches_per_sample_reference(model):
+    # a shortened final step (1.003 = 200 * 0.005 + 0.003), a batch that
+    # starts at sample 256, and a validation run over two batches
+    dt, t_final, v0, seed = 0.005, 1.003, [0.3, 0.2, 0.1], 4
+    durations = _time_grid(dt, t_final)
+    assert len(durations) == 201 and durations[-1] < dt
+    idx = range(256, 300)
+    fields = np.stack(list(_field_steps(model, durations, seed, idx)), axis=1)
+    assert np.array_equal(fields, reference_noise_values(model, durations, seed, idx))
+    states = np.stack(list(_state_steps(model, 1.0, 0.7, v0, durations, seed, idx)), axis=1)
+    ref = reference_ensemble_states(model, 1.0, 0.7, v0, durations, seed, idx)
+    assert np.array_equal(states, ref)
+
+    traj = mc_sample(model, 1.0, 0.7, v0, dt, t_final, seed)
+    ref = reference_ensemble_states(model, 1.0, 0.7, v0, durations, seed, [0])[0]
+    assert np.array_equal(traj.states, ref)
+
+    report = mc_validate(model, 1.0, 0.7, v0, dt, t_final, n_samples=300, seed=seed)
+    mean, se = reference_mean_and_se(model, 1.0, 0.7, v0, durations, seed, 300)
+    assert np.array_equal(report.mean_states, mean)
+    assert np.array_equal(report.standard_error, se)
+
+
+def test_mc_validate_peak_memory():
+    # the benchmark's bivariate model at 2000 samples x 1000 steps: the
+    # streamed sums hold one batch's noise draws, about 4 MB; holding a
+    # batch's whole (256, 1001, 3) state array and its square adds 12 MB
+    model = MC_MODELS[2]
+    args = dict(b3=1.0, u=1.0, v0=[0.5, 0, 0], dt=0.005, seed=3)
+    mc_validate(model, t_final=0.1, n_samples=100, **args)
+    tracemalloc.start()
+    try:
+        mc_validate(model, t_final=5.0, n_samples=2000, **args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
