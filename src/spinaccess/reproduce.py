@@ -17,7 +17,7 @@ from .dynamics import ControlSchedule, evolve_schedule, sz_derivatives
 from .generator import dissipation_from_kossakowski, hamiltonian_matrix, lindblad_superop
 from .liealg import lie_closure
 from .stochastic import (CorrelationModel, build_spin_generator, coefficients,
-                         family_lie_dimension)
+                         family_lie_dimension, hamiltonian_vector)
 
 
 def _qubit_pattern(c11, c22, c12=0.0, c13=0.0, c23=0.0):
@@ -95,16 +95,18 @@ def run_reproduction(seed: int = 0, dissipation_scale: float = 1.0) -> dict:
     schedule = ControlSchedule([(10.0, 1.0)])
 
     cp_model = CorrelationModel("exponential", w33=1.0, tau=0.5)
-    h, d = build_spin_generator(coefficients(cp_model, b3), u=1.0)
-    h_vec = _vector_from_hamiltonian(h)
+    coeffs = coefficients(cp_model, b3)
+    _, d = build_spin_generator(coeffs, u=1.0)
+    h_vec = hamiltonian_vector(coeffs, u=1.0)
     traj = evolve_schedule(h_vec, dissipation_scale * d, schedule, v0, dt=0.01)
     max_rho3 = float(np.max(np.abs(traj.states[:, 2])))
     checks.append(_check_bound(
         "z polarization stays zero for admissible completely positive noise",
         "< 1e-10", max_rho3, max_rho3 < 1e-10))
 
-    h, d = build_spin_generator(coefficients(exp_model, b3), u=1.0)
-    h_vec = _vector_from_hamiltonian(h)
+    coeffs = coefficients(exp_model, b3)
+    _, d = build_spin_generator(coeffs, u=1.0)
+    h_vec = hamiltonian_vector(coeffs, u=1.0)
     traj = evolve_schedule(h_vec, dissipation_scale * d, schedule, v0, dt=0.01)
     peak_rho3 = float(np.max(traj.states[:, 2]))
     checks.append(_check_bound(
@@ -125,7 +127,3 @@ def run_reproduction(seed: int = 0, dissipation_scale: float = 1.0) -> dict:
         "all_passed": bool(all(c["passed"] for c in checks)),
     }
 
-
-def _vector_from_hamiltonian(h_matrix: np.ndarray) -> np.ndarray:
-    """Recover h with Hmat(h) equal to the given skew matrix."""
-    return 0.5 * np.array([h_matrix[1, 2], h_matrix[2, 0], h_matrix[0, 1]])

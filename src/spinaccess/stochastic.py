@@ -22,6 +22,7 @@ import numpy as np
 
 from .dynamics import Trajectory
 from .errors import InvalidModelError, StepSizeError
+from .generator import hamiltonian_matrix
 from .liealg import lie_closure
 
 _FAMILIES = ("zero", "white", "exponential")
@@ -131,6 +132,15 @@ def coefficient_matrix(coeffs: SpinFieldCoefficients) -> np.ndarray:
     ])
 
 
+def hamiltonian_vector(coeffs: SpinFieldCoefficients, u: float) -> np.ndarray:
+    """Hamiltonian vector h of the averaged dynamics, with H = Hmat(h).
+
+    The field along z is the controlled mean field u * b3 plus the
+    noise-induced frequency omega3; omega1 and omega2 act transversally.
+    """
+    return np.array([coeffs.omega1, -coeffs.omega2, u * coeffs.b3 + coeffs.omega3])
+
+
 def build_spin_generator(coeffs: SpinFieldCoefficients, u: float) -> tuple[np.ndarray, np.ndarray]:
     """Coherent and dissipative matrices of the averaged dynamics.
 
@@ -138,12 +148,7 @@ def build_spin_generator(coeffs: SpinFieldCoefficients, u: float) -> tuple[np.nd
     noise-induced frequencies omega_k and the dissipation matrix are fixed.
     Returns (H, D) with the equation of motion dv/dt = -(H + D) v.
     """
-    om1, om2, om3 = coeffs.omega1, coeffs.omega2, coeffs.omega3
-    h = 2.0 * np.array([
-        [0.0, u * coeffs.b3 + om3, om2],
-        [-u * coeffs.b3 - om3, 0.0, om1],
-        [-om2, -om1, 0.0],
-    ])
+    h = hamiltonian_matrix(hamiltonian_vector(coeffs, u))
     d = 2.0 * np.array([
         [coeffs.c33, -coeffs.c12, -coeffs.c13],
         [-coeffs.c12, coeffs.c11 + coeffs.c33, -coeffs.c23],
@@ -431,6 +436,7 @@ __all__ = [
     "coefficients",
     "coefficient_matrix",
     "build_spin_generator",
+    "hamiltonian_vector",
     "cp_admissible",
     "positivity_admissible",
     "mc_sample",

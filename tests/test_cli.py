@@ -290,3 +290,98 @@ def test_unknown_tolerance_key_rejected(tmp_path):
 
 def test_missing_input_rejected():
     assert run(["classify"]) == 1
+
+
+def test_feas_tolerance_outside_range_rejected(tmp_path, capsys):
+    # by default this basis is 3b with n_p 2, n_cp 1; feas = -1 made it 3c and
+    # feas = 1e9 gave case 1 next to certificate condition1
+    inp = tmp_path / "in.json"
+    write_json(inp, {"basis": [[1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0]]})
+    for value in (-1, 0, 1e-13, 2e-6, 1e9):
+        assert run(["classify", "--input", inp, "--tol", f"feas={value}"]) == 1
+        assert "must lie in [1e-12, 1e-06]" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        write_json(cfg, {"tol": {"feas": value}})
+        assert run(["classify", "--input", inp, "--config", cfg]) == 1
+        assert "must lie in [1e-12, 1e-06]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("feas", ["1e-12", "1e-6"])
+def test_feas_tolerance_range_ends_keep_library_verdicts(tmp_path, feas):
+    from pattern_library import PATTERNS, build
+
+    from spinaccess import sym_to_vec6
+
+    inp = tmp_path / "in.json"
+    out = tmp_path / "out.json"
+    for name, kwargs, case, n_p, n_cp, _, verdict in PATTERNS:
+        rows = [sym_to_vec6(b).tolist() for b in build(kwargs).basis]
+        write_json(inp, {"basis": rows})
+        code = run(["classify", "--input", inp, "--output", out, "--tol", f"feas={feas}"])
+        data = json.loads(out.read_text())
+        got = (data["case"], data["n_p"], data["n_cp"], data["certificate"])
+        assert got == (case, n_p, n_cp, verdict), name
+        assert code == (2 if data["ambiguous"] else 0), name
+
+
+def reference_csv(traj):
+    """The row-by-row writer _write_csv_trajectory replaced, kept as its reference."""
+    lines = ["t,rho1,rho2,rho3,purity,u"]
+    for i in range(len(traj.times)):
+        row = [traj.times[i], traj.states[i, 0], traj.states[i, 1],
+               traj.states[i, 2], traj.purities[i], traj.controls[i]]
+        lines.append(",".join("%.17g" % x for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_writer_matches_row_reference(tmp_path, capsys):
+    from spinaccess import Trajectory
+    from spinaccess.cli import CSV_CHUNK_ROWS, _write_csv_trajectory
+
+    rng = np.random.default_rng(30)
+    for m in (1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 10_007):
+        states = rng.standard_normal((m, 3)) * 10.0 ** rng.integers(-150, 150, (m, 1))
+        states[0] = [-0.0, 0.5, 1e-320]
+        states[-1] = [np.inf, np.nan, -np.inf]
+        traj = Trajectory(times=np.cumsum(rng.uniform(0, 0.1, m)), states=states,
+                          purities=np.einsum("ij,ij->i", states, states),
+                          controls=rng.choice([0.0, 1.0, -2.5, 1 / 3], m))
+        want = reference_csv(traj)
+        path = tmp_path / "traj.csv"
+        _write_csv_trajectory(traj, str(path))
+        assert path.read_bytes() == want.encode(), m
+        capsys.readouterr()
+        _write_csv_trajectory(traj, None)
+        assert capsys.readouterr().out == want, m
+
+
+def test_evolve_and_csv_peak_memory(tmp_path):
+    # a warm 1e5-sample schedule written as CSV: the trajectory arrays, the
+    # stacked table and one formatted block stay below 16 MB; the per-sample
+    # lists and whole-text join this replaced peaked at 41 MB
+    import tracemalloc
+
+    from spinaccess import ControlSchedule, evolve_schedule
+    from spinaccess.cli import _write_csv_trajectory
+    from spinaccess.generator import dissipation_from_kossakowski
+
+    rng = np.random.default_rng(31)
+    a = rng.standard_normal((3, 3))
+    d = dissipation_from_kossakowski(2e-4 * (a @ a.T))
+    h = rng.standard_normal(3)
+    sched = ControlSchedule([(400.0, 1.0), (600.0, 0.0)])
+    path = str(tmp_path / "traj.csv")
+
+    def work():
+        traj = evolve_schedule(h, d, sched, [0.3, 0.1, 0.0], 0.01)
+        assert len(traj.times) == 100_001
+        _write_csv_trajectory(traj, path)
+
+    work()
+    tracemalloc.start()
+    try:
+        work()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak

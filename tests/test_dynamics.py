@@ -218,3 +218,71 @@ def test_sz_derivative_sign_matches_finite_difference():
     eps = 1e-7
     fd = (propagate(l, v0, eps)[2] - v0[2]) / eps
     assert abs(d1 - fd) < 1e-5
+
+
+def reference_evolve_schedule(h, d, sched, v0, dt):
+    """The list-appending loop evolve_schedule replaced, kept as its reference."""
+    from scipy.linalg import expm
+
+    v0 = np.asarray(v0, dtype=float)
+    times = [0.0]
+    states = [v0.copy()]
+    controls = [sched.segments[0][1] if sched.segments else 0.0]
+    t_origin = 0.0
+    v = v0.copy()
+    for duration, u in sched.segments:
+        l = lindblad_superop(h, d, u)
+        step = expm(l * dt)
+        n_full = int(np.floor(duration / dt + 1e-12))
+        v_seg = v
+        for k in range(1, n_full + 1):
+            v_seg = step @ v_seg
+            times.append(t_origin + k * dt)
+            states.append(v_seg)
+            controls.append(u)
+        remainder = duration - n_full * dt
+        if remainder > 1e-12 or n_full == 0:
+            v_seg = expm(l * remainder) @ v_seg
+            times.append(t_origin + duration)
+            states.append(v_seg)
+            controls.append(u)
+        else:
+            times[-1] = t_origin + duration
+        v = v_seg
+        t_origin += duration
+    states = np.asarray(states)
+    return Trajectory(times=np.asarray(times), states=states,
+                      purities=np.einsum("ij,ij->i", states, states),
+                      controls=np.asarray(controls))
+
+
+@pytest.mark.parametrize("segments, dt", [
+    ([], 0.1),                                        # empty schedule
+    ([(0.03, 1.0)], 0.1),                             # shorter than dt
+    ([(1.0, 1.0)], 0.25),                             # boundary exactly on the grid
+    ([(0.3, 1.0)], 0.1),                              # on the grid up to rounding
+    ([(1.0, 1.0)], 0.07),                             # remainder segment
+    ([(1.0, 1.0), (1e-13, 0.5), (0.5, 0.0), (0.33, -2.0), (0.7, 1.5)], 0.07),
+    ([(400.0, 1.0), (600.0, 0.0)], 0.01),             # 1e5 samples
+], ids=["empty", "short", "on-grid", "drift", "remainder", "segments", "long"])
+def test_evolve_schedule_matches_list_reference(segments, dt):
+    rng = np.random.default_rng(28)
+    for _ in range(3):
+        h = rng.standard_normal(3)
+        d = random_psd_dissipation(rng) * rng.uniform(1e-3, 1.0)
+        v0 = rng.uniform(-0.28, 0.28, 3)
+        sched = ControlSchedule(segments)
+        got = evolve_schedule(h, d, sched, v0, dt)
+        want = reference_evolve_schedule(h, d, sched, v0, dt)
+        for name in ("times", "states", "purities", "controls", "violations"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_evolve_schedule_matches_list_reference_on_ball_exit():
+    d = dissipation_from_kossakowski(np.diag([1.0, 1.0, -2.5]))
+    sched = ControlSchedule([(2.0, 0.0), (0.13, 1.0)])
+    got = evolve_schedule([0.3, 0, 1.0], d, sched, [0.5, 0.0, 0.0], dt=0.05)
+    want = reference_evolve_schedule([0.3, 0, 1.0], d, sched, [0.5, 0.0, 0.0], dt=0.05)
+    assert got.exited_ball
+    for name in ("times", "states", "purities", "controls", "violations"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name

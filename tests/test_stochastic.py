@@ -11,7 +11,7 @@ from spinaccess import (CorrelationModel, InvalidModelError, StepSizeError,
                         mc_validate, positivity_admissible, propagate,
                         sz_derivatives)
 from spinaccess.stochastic import (_cov_sqrt, _field_steps, _state_steps,
-                                   _time_grid)
+                                   _time_grid, hamiltonian_vector)
 
 
 def quad_coefficients(w11, w13, w33, tau, b3):
@@ -365,3 +365,28 @@ def test_mc_validate_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def test_hamiltonian_matches_literal_matrix():
+    # H is Hmat of the field vector; the hand-written matrix it replaced is
+    # kept here. Negation and the factor 2 are exact, so the entries agree to
+    # the last bit (a zero z field may change the sign of a zero entry).
+    rng = np.random.default_rng(40)
+    for _ in range(2000):
+        family = rng.choice(["zero", "white", "exponential"])
+        w11, w33 = rng.uniform(0.0, 2.0, 2)
+        model = CorrelationModel(family, w11=w11, w33=w33,
+                                 w13=rng.uniform(-1, 1) * np.sqrt(w11 * w33),
+                                 tau=rng.uniform(0.01, 2.0))
+        coeffs = coefficients(model, b3=rng.choice([0.0, rng.uniform(-3, 3)]))
+        u = rng.choice([0.0, 1.0, rng.uniform(-2, 2)])
+        om1, om2, om3 = coeffs.omega1, coeffs.omega2, coeffs.omega3
+        literal = 2.0 * np.array([
+            [0.0, u * coeffs.b3 + om3, om2],
+            [-u * coeffs.b3 - om3, 0.0, om1],
+            [-om2, -om1, 0.0],
+        ])
+        h, _ = build_spin_generator(coeffs, u)
+        assert np.array_equal(h, literal)
+        assert np.array_equal(hamiltonian_vector(coeffs, u),
+                              0.5 * np.array([literal[1, 2], literal[2, 0], literal[0, 1]]))
