@@ -14,7 +14,8 @@ import sys
 
 import numpy as np
 
-from .cones import FEAS_TOL, ParamSubspace, classify_subspace, rank_drop_certificate
+from .cones import (FEAS_TOL, FEAS_TOL_RANGE, ParamSubspace, classify_subspace,
+                    rank_drop_certificate)
 from .dynamics import ControlSchedule, evolve_schedule
 from .errors import SpinAccessError
 from .generator import dissipation_from_kossakowski, sym_to_vec6, vec6_to_sym
@@ -38,17 +39,13 @@ class InputError(Exception):
     """Malformed command input; maps to exit code 1."""
 
 
-def _fail_input(message: str) -> "InputError":
-    return InputError(message)
-
-
 def _strict_keys(data: dict, allowed: set, required: set, context: str) -> None:
     for key in data:
         if key not in allowed:
-            raise _fail_input(f"unknown key {key!r} in {context}")
+            raise InputError(f"unknown key {key!r} in {context}")
     for key in required:
         if key not in data:
-            raise _fail_input(f"missing key {key!r} in {context}")
+            raise InputError(f"missing key {key!r} in {context}")
 
 
 def _load_json(path: str, context: str) -> dict:
@@ -56,11 +53,11 @@ def _load_json(path: str, context: str) -> dict:
         with open(path) as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise _fail_input(f"cannot read {context} file: {exc}")
+        raise InputError(f"cannot read {context} file: {exc}")
     except json.JSONDecodeError as exc:
-        raise _fail_input(f"{context} file is not valid JSON: {exc}")
+        raise InputError(f"{context} file is not valid JSON: {exc}")
     if not isinstance(data, dict):
-        raise _fail_input(f"{context} file must hold a JSON object")
+        raise InputError(f"{context} file must hold a JSON object")
     return data
 
 
@@ -69,9 +66,9 @@ def _number(value, name) -> float:
     try:
         x = float(value)
     except (TypeError, ValueError):
-        raise _fail_input(f"field {name!r} must be a number, got {value!r}")
+        raise InputError(f"field {name!r} must be a number, got {value!r}")
     if not np.isfinite(x):
-        raise _fail_input(f"field {name!r} must be finite, got {x}")
+        raise InputError(f"field {name!r} must be finite, got {x}")
     return x
 
 
@@ -81,22 +78,22 @@ def _vector(data, name, length):
     except (TypeError, ValueError):
         arr = None
     if arr is None or arr.shape != (length,):
-        raise _fail_input(f"field {name!r} must be a list of {length} numbers")
+        raise InputError(f"field {name!r} must be a list of {length} numbers")
     if not np.all(np.isfinite(arr)):
-        raise _fail_input(f"field {name!r} must hold finite numbers")
+        raise InputError(f"field {name!r} must hold finite numbers")
     return arr
 
 
 def _subspace(data) -> ParamSubspace:
     if "basis" not in data:
-        raise _fail_input("missing key 'basis' in input")
+        raise InputError("missing key 'basis' in input")
     rows = data["basis"]
     if not isinstance(rows, list) or not rows:
-        raise _fail_input("field 'basis' must be a nonempty list of 6-vectors")
+        raise InputError("field 'basis' must be a nonempty list of 6-vectors")
     try:
         return ParamSubspace.from_vec6([_vector(r, "basis row", 6) for r in rows])
     except ValueError as exc:
-        raise _fail_input(f"field 'basis' is invalid: {exc}")
+        raise InputError(f"field 'basis' is invalid: {exc}")
 
 
 def _output(path):
@@ -146,7 +143,7 @@ def cmd_classify(args) -> int:
     v = _subspace(data)
     draws = int(_number(data.get("draws", 32), "draws"))
     if not 1 <= draws <= MAX_DRAWS:
-        raise _fail_input(f"field 'draws' must be between 1 and {MAX_DRAWS}, got {draws}")
+        raise InputError(f"field 'draws' must be between 1 and {MAX_DRAWS}, got {draws}")
     analysis = classify_subspace(v, tol=args.tolerances.get("feas", FEAS_TOL))
     verdict = rank_drop_certificate(v)
     out = {
@@ -196,15 +193,15 @@ def cmd_evolve(args) -> int:
     v0 = _vector(data["v0"], "v0", 3)
     segments = data["schedule"]
     if not isinstance(segments, list):
-        raise _fail_input("field 'schedule' must be a list of [duration, u] pairs")
+        raise InputError("field 'schedule' must be a list of [duration, u] pairs")
     try:
         sched = ControlSchedule([(_number(s[0], "schedule"), _number(s[1], "schedule"))
                                  for s in segments])
     except (TypeError, IndexError, ValueError) as exc:
-        raise _fail_input(f"field 'schedule' is invalid: {exc}")
+        raise InputError(f"field 'schedule' is invalid: {exc}")
     dt = _number(data["dt"], "dt")
     if dt <= 0:
-        raise _fail_input("field 'dt' must be positive")
+        raise InputError("field 'dt' must be positive")
     traj = evolve_schedule(h, dissipation_from_kossakowski(c), sched, v0, dt)
     if traj.exited_ball:
         print("warning: trajectory left the Bloch ball (flagged)", file=sys.stderr)
@@ -220,7 +217,7 @@ _MODEL_KEYS = {"family", "w11", "w13", "w33", "tau"}
 
 def _model_from(data) -> CorrelationModel:
     if "family" not in data:
-        raise _fail_input("missing key 'family' in input")
+        raise InputError("missing key 'family' in input")
     return CorrelationModel(
         family=data["family"],
         **{key: _number(data.get(key, 0.0), key) for key in ("w11", "w13", "w33", "tau")},
@@ -259,7 +256,7 @@ def cmd_montecarlo(args) -> int:
     model = _model_from(data)
     n_samples = int(_number(data["n_samples"], "n_samples"))
     if n_samples < 100:
-        raise _fail_input(f"field 'n_samples' must be at least 100, got {n_samples}")
+        raise InputError(f"field 'n_samples' must be at least 100, got {n_samples}")
     report = mc_validate(
         model,
         b3=_number(data["b3"], "b3"),
@@ -300,23 +297,19 @@ def cmd_reproduce(args) -> int:
 # ---------------------------------------------------------------------------
 
 #: Accepted range of each ``--tol`` key.  ``feas`` is the relative depth a
-#: face's central member needs to count as interior.  Over the 18 library
-#: patterns, in random frames and at scales 1e-6..1e6, that depth reads at
-#: most 3e-16 on boundary faces and at least 0.235 on interior ones, so every
-#: verdict holds across the range.  A negative value admits indefinite
-#: members, and a large one rejects every face.
-_TOL_RANGES = {"feas": (1e-12, 1e-6)}
+#: face's central member needs to count as interior.
+_TOL_RANGES = {"feas": FEAS_TOL_RANGE}
 
 _CONFIG_KEYS = {"input", "output", "seed", "tol", "format"}
 
 
 def _tolerance(key, val, where="") -> float:
     if key not in _TOL_RANGES:
-        raise _fail_input(f"unknown tolerance key {key!r}{where}")
+        raise InputError(f"unknown tolerance key {key!r}{where}")
     lo, hi = _TOL_RANGES[key]
     x = _number(val, f"tolerance {key}")
     if not lo <= x <= hi:
-        raise _fail_input(f"tolerance {key!r} must lie in [{lo:g}, {hi:g}], got {x:g}")
+        raise InputError(f"tolerance {key!r} must lie in [{lo:g}, {hi:g}], got {x:g}")
     return x
 
 
@@ -324,7 +317,7 @@ def _parse_tols(pairs) -> dict:
     out = {}
     for pair in pairs or []:
         if "=" not in pair:
-            raise _fail_input(f"--tol expects KEY=VAL, got {pair!r}")
+            raise InputError(f"--tol expects KEY=VAL, got {pair!r}")
         key, _, val = pair.partition("=")
         out[key] = _tolerance(key, val)
     return out
@@ -343,11 +336,11 @@ def _apply_config(args) -> None:
         args.seed = int(_number(data["seed"], "seed"))
     if "format" in data:
         if data["format"] not in ("json", "csv"):
-            raise _fail_input(f"config format must be json or csv, got {data['format']!r}")
+            raise InputError(f"config format must be json or csv, got {data['format']!r}")
         args.format = data["format"]
     if "tol" in data:
         if not isinstance(data["tol"], dict):
-            raise _fail_input("config key 'tol' must be an object")
+            raise InputError("config key 'tol' must be an object")
         for key, val in data["tol"].items():
             args.tolerances[key] = _tolerance(key, val, " in config")
 
@@ -396,7 +389,7 @@ def main(argv=None) -> int:
         args.tolerances = _parse_tols(args.tol)
         _apply_config(args)
         if args.needs_input and args.input is None:
-            raise _fail_input("an --input file is required for this command")
+            raise InputError("an --input file is required for this command")
         return args.handler(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -155,12 +155,6 @@ def evolve_schedule(h: np.ndarray, d: np.ndarray, sched: ControlSchedule,
     )
 
 
-def expectation_sz(v: np.ndarray) -> float:
-    """Polarization along z: the third coherence-vector component."""
-    v = np.asarray(v, dtype=float)
-    return float(v[2])
-
-
 def sz_derivatives(l: np.ndarray, v0: np.ndarray, max_order: int) -> np.ndarray:
     """Time derivatives of the z polarization at t = 0.
 

@@ -87,13 +87,3 @@ def lindblad_superop(h: np.ndarray, d: np.ndarray, u: float = 1.0) -> np.ndarray
     d = require_symmetric(d, "dissipation matrix")
     return -(u * hamiltonian_matrix(h) + d)
 
-
-def split_superop(l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split a generator into (symmetric, skew) parts; L = sym + skew.
-
-    The symmetric part is -D and the skew part -u * Hmat(h), recovering the
-    construction of :func:`lindblad_superop` exactly.
-    """
-    l = np.asarray(l, dtype=float)
-    sym = 0.5 * (l + l.T)
-    return sym, l - sym

@@ -3,8 +3,9 @@
 The controlled coherence-vector system dv/dt = -(u H + D) v is accessible
 iff the matrix Lie algebra generated by its drift and control directions
 acts transitively on the punctured Bloch ball, i.e. equals gl(3, R) or
-sl(3, R).  The closure is computed by breadth-first bracketing with
-orthonormalization under the trace inner product <X, Y> = Tr(X^T Y).
+sl(3, R).  The closure grows an SVD span, orthonormal under the trace
+inner product <X, Y> = Tr(X^T Y), by the brackets of all pairs of its
+basis elements until the span stops growing.
 """
 
 from dataclasses import dataclass
@@ -15,11 +16,9 @@ from .cones import ParamSubspace, is_completely_positive, is_positive
 from .errors import InfeasibleParametersError
 from .generator import dissipation_from_kossakowski, hamiltonian_matrix
 
-#: Relative admission threshold for new bracket directions.
+#: Relative singular-value cut of the span of the normalized generators and
+#: their brackets.
 CLOSURE_TOL = 1e-9
-
-#: Brackets below this fraction of the largest input norm are treated as zero.
-_ZERO_BRACKET = 1e-12
 
 
 @dataclass
@@ -38,19 +37,23 @@ def bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y - y @ x
 
 
-def lie_closure(generators, tol: float = CLOSURE_TOL) -> LieClosure:
+def lie_closure(generators) -> LieClosure:
     """Close a set of 3x3 matrices under the commutator.
 
-    Generators are orthonormalized; all pairs of current basis elements are
-    bracketed breadth-first, and a bracket is admitted when its component
-    outside the current span exceeds ``tol`` relative to the bracket norm.
+    Each nonzero generator is normalized, and the basis is the SVD span of
+    the generators: the right singular vectors whose singular values exceed
+    ``CLOSURE_TOL`` times the largest.  The span is then replaced by the SVD
+    span of itself plus the brackets of all pairs of its basis elements,
+    until the dimension stops growing or reaches 9 (Elliott, Bilinear
+    Control Systems, 2009, ch. 2).  The algebra depends only on the span of
+    the generators, so neither their scales nor the frame change the result;
+    two directions closer than about eps / ``CLOSURE_TOL`` (relative) are
+    not resolved.
 
     Parameters
     ----------
     generators : iterable of np.ndarray
-        At least one 3x3 matrix.
-    tol : float
-        Relative admission threshold for new directions.
+        At least one 3x3 matrix, not all zero.
     """
     gens = [np.asarray(g, dtype=float) for g in generators]
     if not gens:
@@ -58,45 +61,30 @@ def lie_closure(generators, tol: float = CLOSURE_TOL) -> LieClosure:
     for g in gens:
         if g.shape != (3, 3):
             raise ValueError(f"generators must be 3x3, got shape {g.shape}")
-    scale = max(np.linalg.norm(g) for g in gens)
-    if scale == 0.0:
+    rows = np.stack([g.reshape(9) for g in gens])
+    norms = np.linalg.norm(rows, axis=1)
+    if not norms.any():
         raise ValueError("all generators vanish")
 
-    basis: list[np.ndarray] = []  # rows: orthonormal 9-vectors
-
-    def admit(mat: np.ndarray, threshold: float) -> bool:
-        vec = mat.reshape(9)
-        norm = np.linalg.norm(vec)
-        if norm < threshold:
-            return False
-        res = vec.copy()
-        for b in basis:  # two Gram-Schmidt passes for numerical stability
-            res -= (b @ res) * b
-        for b in basis:
-            res -= (b @ res) * b
-        if np.linalg.norm(res) <= tol * norm:
-            return False
-        basis.append(res / np.linalg.norm(res))
-        return True
-
-    queue = []
-    for g in gens:
-        if admit(g, _ZERO_BRACKET * scale):
-            queue.append(len(basis) - 1)
-    while queue:
-        idx = queue.pop(0)
-        x = basis[idx].reshape(3, 3)
-        for j in range(len(basis)):
-            y = basis[j].reshape(3, 3)
-            if admit(bracket(x, y), _ZERO_BRACKET):
-                queue.append(len(basis) - 1)
-        if len(basis) == 9:
+    basis = _svd_span(rows[norms > 0] / norms[norms > 0, None])
+    while len(basis) < 9:
+        mats = basis.reshape(-1, 3, 3)
+        i, j = np.triu_indices(len(mats), 1)
+        grown = _svd_span(np.vstack([basis, bracket(mats[i], mats[j]).reshape(-1, 9)]))
+        if len(grown) == len(basis):
             break
+        basis = grown
 
-    arr = np.stack([b.reshape(3, 3) for b in basis])
-    closure = LieClosure(basis=arr, dim=len(basis), is_transitive=False)
+    arr = basis.reshape(-1, 3, 3)
+    closure = LieClosure(basis=arr, dim=len(arr), is_transitive=False)
     closure.is_transitive = accessibility_verdict(closure)
     return closure
+
+
+def _svd_span(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning ``rows`` at singular values above CLOSURE_TOL relative."""
+    _, s, vt = np.linalg.svd(rows, full_matrices=False)
+    return vt[s > CLOSURE_TOL * s[0]]
 
 
 def accessibility_verdict(closure: LieClosure, trace_tol: float = 1e-10) -> bool:
@@ -110,17 +98,14 @@ def accessibility_verdict(closure: LieClosure, trace_tol: float = 1e-10) -> bool
 
 
 def switching_generators(h: np.ndarray, d: np.ndarray) -> list:
-    """Generator pair {D, Hmat(h) + D} of the on/off switched system."""
-    hm = hamiltonian_matrix(h)
-    d = np.asarray(d, dtype=float)
-    return [d, hm + d]
+    """Generator pair {D, Hmat(h)} of the on/off switched system.
 
-
-def drift_control_generators(h0: np.ndarray, controls, d: np.ndarray) -> list:
-    """Generators {Hmat(h0) + D, Hmat(h1), ..., Hmat(hm)} of the drift-plus-control form."""
-    gens = [hamiltonian_matrix(h0) + np.asarray(d, dtype=float)]
-    gens.extend(hamiltonian_matrix(h) for h in controls)
-    return gens
+    The system switches between the generators D (control off) and
+    Hmat(h) + D (control on).  span{D, Hmat(h) + D} = span{D, Hmat(h)}, so
+    both pairs generate the same algebra; the sum is not used because it
+    loses Hmat(h) to cancellation when |D| >> |Hmat(h)|.
+    """
+    return [np.asarray(d, dtype=float), hamiltonian_matrix(h)]
 
 
 @dataclass
@@ -142,7 +127,7 @@ def compare_accessibility(v: ParamSubspace, h: np.ndarray, theta_p,
 
     ``theta_p`` must select a subspace member whose dissipation matrix is
     PSD, ``theta_cp`` one whose coefficient matrix is PSD; both closures use
-    the switched generator pair {D, Hmat(h) + D}.
+    the switched generator pair of :func:`switching_generators`.
 
     Raises
     ------

@@ -14,8 +14,8 @@ than 1 must make the suite fail.
 import numpy as np
 
 from .dynamics import ControlSchedule, evolve_schedule, sz_derivatives
-from .generator import dissipation_from_kossakowski, hamiltonian_matrix, lindblad_superop
-from .liealg import lie_closure
+from .generator import dissipation_from_kossakowski, lindblad_superop
+from .liealg import lie_closure, switching_generators
 from .stochastic import (CorrelationModel, build_spin_generator, coefficients,
                          family_lie_dimension, hamiltonian_vector)
 
@@ -31,7 +31,7 @@ def _qubit_pattern(c11, c22, c12=0.0, c13=0.0, c23=0.0):
 
 def _switched_dim(c, h, scale):
     d = scale * dissipation_from_kossakowski(c)
-    return lie_closure([d, hamiltonian_matrix(h) + d]).dim
+    return lie_closure(switching_generators(h, d)).dim
 
 
 def _check(name, expected, computed):

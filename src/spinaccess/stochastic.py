@@ -23,7 +23,7 @@ import numpy as np
 from .dynamics import Trajectory
 from .errors import InvalidModelError, StepSizeError
 from .generator import hamiltonian_matrix
-from .liealg import lie_closure
+from .liealg import lie_closure, switching_generators
 
 _FAMILIES = ("zero", "white", "exponential")
 
@@ -377,8 +377,8 @@ def mc_validate(model: CorrelationModel, b3: float, u: float, v0: np.ndarray,
 # accessibility of a correlation family as a whole
 # ---------------------------------------------------------------------------
 
-def family_draws(model: CorrelationModel, n_draws: int = 2,
-                 seed: int = 0) -> list:
+def _family_draws(model: CorrelationModel, n_draws: int = 2,
+                  seed: int = 0) -> list:
     """Models sharing the zero pattern of ``model`` with generic amplitudes.
 
     The first draw is the model itself; subsequent draws rescale each
@@ -404,9 +404,10 @@ def family_lie_generators(model: CorrelationModel, b3: float, u: float = 1.0,
                           n_draws: int = 2, seed: int = 0) -> list:
     """Switched generator pairs pooled over generic draws of the family."""
     gens = []
-    for draw in family_draws(model, n_draws=n_draws, seed=seed):
-        h, d = build_spin_generator(coefficients(draw, b3), u)
-        gens.extend([d, h + d])
+    for draw in _family_draws(model, n_draws=n_draws, seed=seed):
+        coeffs = coefficients(draw, b3)
+        _, d = build_spin_generator(coeffs, u)
+        gens.extend(switching_generators(hamiltonian_vector(coeffs, u), d))
     return gens
 
 
@@ -441,7 +442,6 @@ __all__ = [
     "positivity_admissible",
     "mc_sample",
     "mc_validate",
-    "family_draws",
     "family_lie_generators",
     "family_lie_dimension",
 ]

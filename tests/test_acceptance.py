@@ -43,7 +43,7 @@ def qubit_pattern(c11, c22, c12=0.0, c13=0.0, c23=0.0):
 
 def switched_dim(c, h):
     d = dissipation_from_kossakowski(c)
-    return lie_closure(switching_generators(h, d), tol=1e-9).dim
+    return lie_closure(switching_generators(h, d)).dim
 
 
 def test_criterion_01_switched_dimension_table():

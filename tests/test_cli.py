@@ -79,6 +79,35 @@ def test_lie_report(tmp_path):
     assert len(data["basis_cp"]) == 2
 
 
+def bench_frame():
+    """Rotation by 0.7 rad about (1, 2, 3)/sqrt(14), the benchmark's fixed frame."""
+    axis = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
+    k = np.array([[0.0, -axis[2], axis[1]],
+                  [axis[2], 0.0, -axis[0]],
+                  [-axis[1], axis[0], 0.0]])
+    return np.eye(3) + np.sin(0.7) * k + (1.0 - np.cos(0.7)) * (k @ k)
+
+
+@pytest.mark.parametrize("s", [1.0, 1e4, 1e6])
+def test_lie_equal_rates_in_a_rotated_frame_at_strong_damping(tmp_path, s):
+    # C = s diag(1, 1, 0) with h along z, both in the same generic frame: the
+    # CP algebra stays two-dimensional however strong the damping
+    q = bench_frame()
+    c = s * (q @ np.diag([1.0, 1.0, 0.0]) @ q.T)
+    inp = tmp_path / "in.json"
+    out = tmp_path / "out.json"
+    write_json(inp, {
+        "basis": [[c[0, 0], c[1, 1], c[2, 2], c[0, 1], c[0, 2], c[1, 2]]],
+        "h": (q @ [0.0, 0.0, 1.0]).tolist(),
+        "theta_p": [1.0],
+        "theta_cp": [1.0],
+    })
+    assert run(["lie", "--input", inp, "--output", out]) == 0
+    data = json.loads(out.read_text())
+    assert data["dim_cp"] == 2
+    assert not data["accessible_cp"]
+
+
 def test_lie_infeasible_coordinates_exit_domain(tmp_path):
     inp = tmp_path / "in.json"
     write_json(inp, {

@@ -85,6 +85,15 @@ def test_pattern_library(name, kwargs, case, n_p, n_cp, k_dim, verdict):
         assert is_completely_positive(w, 1e-8)
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.3, 0.6])
+def test_classify_rejects_tolerance_outside_range(tol):
+    # at -1 this subspace read 3c (it is 3b); at 0.3 and 0.6 library patterns
+    # got wrong labels or a LinAlgError
+    v = ParamSubspace.from_vec6([[1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0]])
+    with pytest.raises(ValueError, match="tol must lie in"):
+        classify_subspace(v, tol=tol)
+
+
 def test_case_table_bounds():
     for name, kwargs, case, n_p, n_cp, _, _ in PATTERNS:
         if case == "1":

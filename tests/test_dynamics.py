@@ -5,8 +5,8 @@ import pytest
 
 from spinaccess import (ControlSchedule, Trajectory, UnphysicalStateError,
                         dissipation_from_kossakowski, evolve_schedule,
-                        expectation_sz, hamiltonian_matrix, is_physical,
-                        lindblad_superop, propagate, sz_derivatives)
+                        hamiltonian_matrix, is_physical, lindblad_superop,
+                        propagate, sz_derivatives)
 from spinaccess.dynamics import VIOLATION_TOL
 
 
@@ -183,12 +183,6 @@ def test_violation_flags_match_is_physical():
     expected = [not is_physical(v, VIOLATION_TOL) for v in states]
     assert np.array_equal(traj.violations, expected)
     assert 0 < traj.violations.sum() < len(states)
-
-
-def test_expectation_sz_examples():
-    assert expectation_sz([0.5, 0, 0]) == 0.0
-    assert expectation_sz([0, 0, 0.5]) == 0.5
-    assert expectation_sz([0, 0, -0.3]) == -0.3
 
 
 def test_sz_derivatives_zero_generator():

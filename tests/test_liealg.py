@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spinaccess import (InfeasibleParametersError, LieClosure, ParamSubspace,
                         accessibility_verdict, bracket, compare_accessibility,
-                        dissipation_from_kossakowski, drift_control_generators,
-                        hamiltonian_matrix, lie_closure, switching_generators,
-                        rank_drop_certificate)
+                        dissipation_from_kossakowski, hamiltonian_matrix,
+                        lie_closure, switching_generators, rank_drop_certificate)
 
 
 def unit(i, j):
@@ -132,12 +134,144 @@ def test_skew_generators_stay_in_rotations():
         assert lie_closure(gens).dim <= 3
 
 
-def test_drift_control_generator_layout():
-    d = np.diag([1.0, 2.0, 3.0])
-    gens = drift_control_generators([0, 0, 0.5], [[1.0, 0, 0], [0, 1.0, 0]], d)
-    assert len(gens) == 3
-    assert np.allclose(gens[0], hamiltonian_matrix([0, 0, 0.5]) + d)
-    assert np.allclose(gens[1], hamiltonian_matrix([1.0, 0, 0]))
+def test_switching_generators_are_d_and_hamiltonian():
+    d = dissipation_from_kossakowski(np.diag([0.9, 0.4, 0.0]))
+    gens = switching_generators([0.1, 0.2, 1.3], d)
+    assert len(gens) == 2
+    assert np.array_equal(gens[0], d)
+    assert np.array_equal(gens[1], hamiltonian_matrix([0.1, 0.2, 1.3]))
+
+
+# ---------------------------------------------------------------------------
+# the closure depends on the algebra, not on frame or scales
+# ---------------------------------------------------------------------------
+
+_Z = [0.0, 0.0, 1.0]
+_X = [1.0, 0.0, 0.0]
+
+#: (C, h, dim) of the switched patterns of ``reproduce`` and criterion 01.
+SWITCHED = [
+    (qubit_pattern(1.0, 1.0, c13=0.3, c23=0.7), _Z, 9),
+    (np.diag([1.0, 1.0, 0.0]), _Z, 2),
+    (qubit_pattern(0.9, 0.4, c13=0.3, c23=0.7), _Z, 9),
+    (np.diag([0.9, 0.4, 0.0]), _Z, 4),
+    (qubit_pattern(0.9, 0.4, c23=0.7), _X, 4),
+    (np.diag([0.9, 0.4, 0.0]), _X, 4),
+]
+
+
+def rotation_from(frame):
+    """A proper rotation from any 3x3 matrix (orthogonal even when it is singular)."""
+    q = np.linalg.qr(frame)[0]
+    q[:, 0] *= np.sign(np.linalg.det(q))
+    return q
+
+
+def rotated_switched_closure(c, h, q, d_scale=1.0, h_scale=1.0):
+    """Closure of the switched pair after C -> d_scale Q C Q^T and h -> h_scale Q h.
+
+    For a proper rotation Q, Q Hmat(h) Q^T = Hmat(Q h), so both generators
+    are conjugated by the same frame change.
+    """
+    d = d_scale * (q @ dissipation_from_kossakowski(c) @ q.T)
+    return lie_closure(switching_generators(h_scale * (q @ np.asarray(h)), d))
+
+
+_UNIT_ENTRIES = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(deadline=None)
+@given(index=st.integers(0, len(SWITCHED) - 1),
+       frame=arrays(float, (3, 3), elements=_UNIT_ENTRIES),
+       d_exp=st.floats(-6.0, 6.0), h_exp=st.floats(-6.0, 6.0))
+@example(index=1, frame=np.array([[0.3, -0.8, 0.5], [0.9, 0.2, -0.4], [0.1, 0.6, 0.7]]),
+         d_exp=6.0, h_exp=0.0)
+def test_switched_dimension_survives_frame_and_scales(index, frame, d_exp, h_exp):
+    c, h, dim = SWITCHED[index]
+    closure = rotated_switched_closure(c, h, rotation_from(frame), 10.0 ** d_exp, 10.0 ** h_exp)
+    assert closure.dim == dim
+    assert closure.is_transitive == (dim == 9)
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6])
+def test_near_equal_rates_keep_dimension_four(delta):
+    # unequal rates give the four-dimensional algebra however close they are,
+    # down to the resolution of about eps / CLOSURE_TOL
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        q = rotation_from(rng.standard_normal((3, 3)))
+        closure = rotated_switched_closure(np.diag([1.0, 1.0 + delta, 0.0]), _Z, q)
+        assert closure.dim == 4
+        assert not closure.is_transitive
+
+
+def gram_schmidt_closure_dim(generators, tol=1e-9, zero_bracket=1e-12):
+    """Dimension from the breadth-first Gram-Schmidt closure lie_closure replaced.
+
+    Kept as the reference for generic inputs at moderate scales, where it is
+    reliable.
+    """
+    gens = [np.asarray(g, dtype=float) for g in generators]
+    scale = max(np.linalg.norm(g) for g in gens)
+    basis = []
+
+    def admit(mat, threshold):
+        vec = mat.reshape(9)
+        norm = np.linalg.norm(vec)
+        if norm < threshold:
+            return False
+        res = vec.copy()
+        for _ in range(2):
+            for b in basis:
+                res -= (b @ res) * b
+        if np.linalg.norm(res) <= tol * norm:
+            return False
+        basis.append(res / np.linalg.norm(res))
+        return True
+
+    queue = []
+    for g in gens:
+        if admit(g, zero_bracket * scale):
+            queue.append(len(basis) - 1)
+    while queue and len(basis) < 9:
+        x = basis[queue.pop(0)].reshape(3, 3)
+        for j in range(len(basis)):
+            if admit(bracket(x, basis[j].reshape(3, 3)), zero_bracket):
+                queue.append(len(basis) - 1)
+    return len(basis)
+
+
+def structured_generators(rng, kind):
+    """One random member of a structured family of 3x3 matrices."""
+    a = rng.standard_normal((3, 3))
+    if kind == "so3":
+        return a - a.T
+    if kind == "upper":
+        return np.triu(a)
+    if kind == "diagonal":
+        return np.diag(np.diag(a))
+    if kind == "block":
+        a[2, :2] = a[:2, 2] = 0.0
+        return a
+    if kind == "sl2":
+        return np.array([[a[0, 0], a[0, 1], 0.0], [a[1, 0], -a[0, 0], 0.0], [0.0, 0.0, 0.0]])
+    if kind == "symmetric":
+        return a + a.T
+    return a
+
+
+@pytest.mark.parametrize("kind", ["so3", "upper", "diagonal", "block", "sl2",
+                                  "generic", "symmetric"])
+def test_dimension_matches_gram_schmidt_reference(kind):
+    # one scale per set: with separate scales per generator the reference
+    # itself can admit rounding noise as new directions
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        q = rotation_from(rng.standard_normal((3, 3)))
+        scale = 10.0 ** rng.uniform(-3, 3)
+        gens = [scale * (q @ structured_generators(rng, kind) @ q.T)
+                for _ in range(rng.integers(1, 4))]
+        assert lie_closure(gens).dim == gram_schmidt_closure_dim(gens)
 
 
 def test_compare_accessibility_differs_for_z_control():
