@@ -1,7 +1,8 @@
 """Command-line front end: JSON/CSV I/O around the analysis modules.
 
-Exit-code contract: 0 success, 1 malformed input, 2 domain error (including
-infeasible or boundary-ambiguous classifications), 3 reproduction mismatch.
+Exit-code contract: 0 success, 1 malformed input (including usage errors
+such as an unknown flag), 2 domain error (including infeasible or
+boundary-ambiguous classifications), 3 reproduction mismatch.
 Every command is deterministic given its input file and seed.  Floats print
 with 17 significant digits in CSV and shortest-round-trip form in JSON, so
 outputs re-read losslessly.
@@ -72,6 +73,14 @@ def _number(value, name) -> float:
     return x
 
 
+def _integer(value, name) -> int:
+    """A finite integral number as an int, or an input error naming the field."""
+    x = _number(value, name)
+    if x != int(x):
+        raise InputError(f"field {name!r} must be an integer, got {value!r}")
+    return int(x)
+
+
 def _vector(data, name, length):
     try:
         arr = np.asarray(data, dtype=float)
@@ -102,9 +111,9 @@ def _output(path):
 
 
 def _write_json(obj, path):
-    text = json.dumps(obj, indent=2) + "\n"
     with _output(path) as fh:
-        fh.write(text)
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
 
 
 #: Rows formatted and written at a time, so the CSV text never exists whole.
@@ -141,7 +150,7 @@ def cmd_classify(args) -> int:
     data = _load_json(args.input, "input")
     _strict_keys(data, {"basis", "draws"}, {"basis"}, "input")
     v = _subspace(data)
-    draws = int(_number(data.get("draws", 32), "draws"))
+    draws = _integer(data.get("draws", 32), "draws")
     if not 1 <= draws <= MAX_DRAWS:
         raise InputError(f"field 'draws' must be between 1 and {MAX_DRAWS}, got {draws}")
     analysis = classify_subspace(v, tol=args.tolerances.get("feas", FEAS_TOL))
@@ -254,7 +263,7 @@ def cmd_montecarlo(args) -> int:
     _strict_keys(data, allowed, {"family", "b3", "v0", "dt", "t_final", "n_samples"},
                  "input")
     model = _model_from(data)
-    n_samples = int(_number(data["n_samples"], "n_samples"))
+    n_samples = _integer(data["n_samples"], "n_samples")
     if n_samples < 100:
         raise InputError(f"field 'n_samples' must be at least 100, got {n_samples}")
     report = mc_validate(
@@ -300,9 +309,6 @@ def cmd_reproduce(args) -> int:
 #: face's central member needs to count as interior.
 _TOL_RANGES = {"feas": FEAS_TOL_RANGE}
 
-_CONFIG_KEYS = {"input", "output", "seed", "tol", "format"}
-
-
 def _tolerance(key, val, where="") -> float:
     if key not in _TOL_RANGES:
         raise InputError(f"unknown tolerance key {key!r}{where}")
@@ -327,13 +333,15 @@ def _apply_config(args) -> None:
     if args.config is None:
         return
     data = _load_json(args.config, "config")
-    _strict_keys(data, _CONFIG_KEYS, set(), "config")
+    # tol and format only where the command takes the flag
+    _strict_keys(data, {"input", "output", "seed"} | ({"tol", "format"} & set(vars(args))),
+                 set(), "config")
     if "input" in data:
         args.input = data["input"]
     if "output" in data:
         args.output = data["output"]
     if "seed" in data:
-        args.seed = int(_number(data["seed"], "seed"))
+        args.seed = _integer(data["seed"], "seed")
     if "format" in data:
         if data["format"] not in ("json", "csv"):
             raise InputError(f"config format must be json or csv, got {data['format']!r}")
@@ -345,21 +353,16 @@ def _apply_config(args) -> None:
             args.tolerances[key] = _tolerance(key, val, " in config")
 
 
-def _add_common(sub, needs_input=True):
-    if needs_input:
-        sub.add_argument("--input", required=False, help="input JSON file")
-    sub.add_argument("--output", default=None, help="output file (default: stdout)")
-    sub.add_argument("--seed", type=int, default=0, help="seed for all randomized steps")
-    sub.add_argument("--tol", action="append", metavar="KEY=VAL",
-                     help="override a named tolerance (repeatable)")
-    sub.add_argument("--format", choices=("json", "csv"), default="csv",
-                     help="trajectory output format")
-    sub.add_argument("--config", default=None,
-                     help="JSON config overriding the flags above")
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit 1, malformed input, not 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spinaccess",
         description="Accessibility analysis of dissipative qubit control systems")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -373,11 +376,22 @@ def build_parser() -> argparse.ArgumentParser:
         ("reproduce", cmd_reproduce, False),
     ]:
         sub = subs.add_parser(name)
-        _add_common(sub, needs_input)
+        if needs_input:
+            sub.add_argument("--input", required=False, help="input JSON file")
+        sub.add_argument("--output", default=None, help="output file (default: stdout)")
+        sub.add_argument("--seed", type=int, default=0, help="seed for all randomized steps")
+        if name == "classify":
+            sub.add_argument("--tol", action="append", metavar="KEY=VAL",
+                             help="override a named tolerance (repeatable)")
+        if name == "evolve":
+            sub.add_argument("--format", choices=("json", "csv"), default="csv",
+                             help="trajectory output format")
         if name == "reproduce":
             sub.add_argument("--perturb-convention", action="store_true",
                              help="negative control: corrupt the dissipation "
                                   "normalization so every run must mismatch")
+        sub.add_argument("--config", default=None,
+                         help="JSON config overriding the flags above")
         sub.set_defaults(handler=fn, needs_input=needs_input)
     return parser
 
@@ -386,20 +400,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.tolerances = _parse_tols(args.tol)
+        args.tolerances = _parse_tols(getattr(args, "tol", None))
         _apply_config(args)
         if args.needs_input and args.input is None:
             raise InputError("an --input file is required for this command")
         return args.handler(args)
-    except InputError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SpinAccessError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generator import (dissipation_from_kossakowski, kossakowski_from_dissipation,
-                        require_symmetric, sym_to_vec6, vec6_to_sym)
+                        require_symmetric, vec6_to_sym)
 
 #: Feasibility tolerance: a point is admissible when the relevant minimum
 #: eigenvalue is >= -FEAS_TOL.  A face counts as strictly feasible when its
@@ -54,9 +54,9 @@ _ENTRY_NAMES = {"c11": 0, "c22": 1, "c33": 2, "c12": 3, "c13": 4, "c23": 5}
 class ParamSubspace:
     """Linear subspace of symmetric 3x3 matrices given by a basis.
 
-    ``basis`` has shape (n, 3, 3) with 1 <= n <= 6 linearly independent
-    symmetric elements.  Coordinates theta always refer to this basis as
-    given.
+    ``basis`` has shape (n, 3, 3) with 1 <= n <= 6 symmetric elements,
+    linearly independent at ``RANK_TOL`` once normalized.  Coordinates theta
+    always refer to this basis as given.
     """
 
     basis: np.ndarray
@@ -71,13 +71,10 @@ class ParamSubspace:
         for k in range(n):
             basis[k] = require_symmetric(basis[k], f"basis element {k}")
         self.basis = basis
-        norms = np.linalg.norm(basis.reshape(n, 9), axis=1)
-        if np.any(norms < 1e-14):
+        if np.any(np.linalg.norm(basis.reshape(n, 9), axis=1) < 1e-14):
             raise ValueError("basis contains a zero element")
-        # independence: the Gram matrix of the normalized 6-vector forms
-        # must have rank n
-        rows = np.stack([sym_to_vec6(b / norm) for b, norm in zip(basis, norms)])
-        if np.linalg.svd(rows @ rows.T, compute_uv=False)[-1] <= 1e-10:
+        # the same rank the cone analysis and the isotropic span use
+        if len(_orthonormal(basis)) != n:
             raise ValueError("basis elements are not linearly independent")
 
     @classmethod

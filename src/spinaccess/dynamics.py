@@ -23,7 +23,7 @@ VIOLATION_TOL = 1e-8
 
 #: Most samples a schedule may produce, ten times a 1e5-sample trajectory.
 #: A CLI ``evolve`` of 1e6 samples peaked at 0.15 GB resident and took 7 s
-#: on a 2-core host as CSV, and 1.2 GB and 19 s as JSON.
+#: on a 2-core host as CSV, and 0.42 GB and 18 s as JSON.
 MAX_SAMPLES = 1_000_000
 
 

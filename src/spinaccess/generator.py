@@ -52,10 +52,14 @@ def vec6_to_sym(v: np.ndarray) -> np.ndarray:
 def dissipation_from_kossakowski(c: np.ndarray) -> np.ndarray:
     """Dissipation matrix D = 2 (I Tr C - C) of a coefficient matrix C.
 
-    Entrywise: D11 = 2(c22 + c33), D12 = -2 c12, and cyclic permutations.
+    Entrywise, D11 = 2(c22 + c33), D12 = -2 c12, and cyclic permutations, so
+    no diagonal entry suffers the cancellation of Tr C - c11.
     """
     c = require_symmetric(c, "kossakowski matrix")
-    return 2.0 * (np.eye(3) * np.trace(c) - c)
+    diag = np.diagonal(c)
+    d = -2.0 * c
+    np.fill_diagonal(d, 2.0 * (diag[[1, 0, 0]] + diag[[2, 2, 1]]))
+    return d
 
 
 def kossakowski_from_dissipation(d: np.ndarray) -> np.ndarray:

@@ -87,13 +87,13 @@ def _svd_span(rows: np.ndarray) -> np.ndarray:
     return vt[s > CLOSURE_TOL * s[0]]
 
 
-def accessibility_verdict(closure: LieClosure, trace_tol: float = 1e-10) -> bool:
-    """True iff the closure is gl(3, R) or sl(3, R), hence transitive."""
+def accessibility_verdict(closure: LieClosure) -> bool:
+    """True iff the closure is gl(3, R), or sl(3, R) to traces below 1e-10."""
     if closure.dim == 9:
         return True
     if closure.dim == 8:
         traces = np.abs(np.trace(closure.basis, axis1=1, axis2=2))
-        return bool(np.all(traces < trace_tol))
+        return bool(np.all(traces < 1e-10))
     return False
 
 
@@ -122,7 +122,7 @@ class AccessibilityReport:
 
 
 def compare_accessibility(v: ParamSubspace, h: np.ndarray, theta_p,
-                          theta_cp, tol: float = 1e-9) -> AccessibilityReport:
+                          theta_cp) -> AccessibilityReport:
     """Accessibility verdicts for a positivity- and a CP-admissible member.
 
     ``theta_p`` must select a subspace member whose dissipation matrix is
@@ -136,9 +136,9 @@ def compare_accessibility(v: ParamSubspace, h: np.ndarray, theta_p,
     """
     c_p = v.matrix(theta_p)
     c_cp = v.matrix(theta_cp)
-    if not is_positive(c_p, tol):
+    if not is_positive(c_p):
         raise InfeasibleParametersError("theta_p does not satisfy positivity")
-    if not is_completely_positive(c_cp, tol):
+    if not is_completely_positive(c_cp):
         raise InfeasibleParametersError("theta_cp does not satisfy complete positivity")
 
     closure_p = lie_closure(switching_generators(h, dissipation_from_kossakowski(c_p)))

@@ -14,7 +14,7 @@ than 1 must make the suite fail.
 import numpy as np
 
 from .dynamics import ControlSchedule, evolve_schedule, sz_derivatives
-from .generator import dissipation_from_kossakowski, lindblad_superop
+from .generator import dissipation_from_kossakowski, lindblad_superop, vec6_to_sym
 from .liealg import lie_closure, switching_generators
 from .stochastic import (CorrelationModel, build_spin_generator, coefficients,
                          family_lie_dimension, hamiltonian_vector)
@@ -22,11 +22,7 @@ from .stochastic import (CorrelationModel, build_spin_generator, coefficients,
 
 def _qubit_pattern(c11, c22, c12=0.0, c13=0.0, c23=0.0):
     """Coefficient matrix of the switched-system study: c33 structurally zero."""
-    return np.array([
-        [c11, c12, c13],
-        [c12, c22, c23],
-        [c13, c23, 0.0],
-    ])
+    return vec6_to_sym([c11, c22, 0.0, c12, c13, c23])
 
 
 def _switched_dim(c, h, scale):

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory
+from .cones import FEAS_TOL, is_completely_positive, is_positive
+from .dynamics import Trajectory, propagate
 from .errors import InvalidModelError, StepSizeError
-from .generator import hamiltonian_matrix
+from .generator import dissipation_from_kossakowski, hamiltonian_matrix, vec6_to_sym
 from .liealg import lie_closure, switching_generators
 
 _FAMILIES = ("zero", "white", "exponential")
@@ -125,11 +126,7 @@ def coefficients(model: CorrelationModel, b3: float) -> SpinFieldCoefficients:
 
 def coefficient_matrix(coeffs: SpinFieldCoefficients) -> np.ndarray:
     """Coefficient matrix of the model; the (2,2) entry is structurally zero."""
-    return np.array([
-        [coeffs.c11, coeffs.c12, coeffs.c13],
-        [coeffs.c12, 0.0, coeffs.c23],
-        [coeffs.c13, coeffs.c23, coeffs.c33],
-    ])
+    return vec6_to_sym([coeffs.c11, 0.0, coeffs.c33, coeffs.c12, coeffs.c13, coeffs.c23])
 
 
 def hamiltonian_vector(coeffs: SpinFieldCoefficients, u: float) -> np.ndarray:
@@ -148,25 +145,20 @@ def build_spin_generator(coeffs: SpinFieldCoefficients, u: float) -> tuple[np.nd
     noise-induced frequencies omega_k and the dissipation matrix are fixed.
     Returns (H, D) with the equation of motion dv/dt = -(H + D) v.
     """
-    h = hamiltonian_matrix(hamiltonian_vector(coeffs, u))
-    d = 2.0 * np.array([
-        [coeffs.c33, -coeffs.c12, -coeffs.c13],
-        [-coeffs.c12, coeffs.c11 + coeffs.c33, -coeffs.c23],
-        [-coeffs.c13, -coeffs.c23, coeffs.c11],
-    ])
-    return h, d
+    return (hamiltonian_matrix(hamiltonian_vector(coeffs, u)),
+            dissipation_from_kossakowski(coefficient_matrix(coeffs)))
 
 
-def cp_admissible(coeffs: SpinFieldCoefficients, tol: float = 1e-9) -> bool:
+def cp_admissible(coeffs: SpinFieldCoefficients) -> bool:
     """True iff the coefficients are compatible with complete positivity.
 
     Requires the rotating-frame couplings c12, c23 to vanish and the
     coefficient matrix to be PSD; among the correlation families this holds
     only for vanishing or white-noise correlations.
     """
-    if abs(coeffs.c12) >= tol or abs(coeffs.c23) >= tol:
+    if abs(coeffs.c12) >= FEAS_TOL or abs(coeffs.c23) >= FEAS_TOL:
         return False
-    return bool(np.linalg.eigvalsh(coefficient_matrix(coeffs))[0] >= -tol)
+    return is_completely_positive(coefficient_matrix(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +325,6 @@ def mc_validate(model: CorrelationModel, b3: float, u: float, v0: np.ndarray,
     the worst deviation in standard errors, to be judged against the
     number of comparisons.
     """
-    from scipy.linalg import expm
-
     if n_samples < 100:
         raise ValueError(f"need at least 100 samples, got {n_samples}")
     _check_mc_preconditions(model, dt)
@@ -355,8 +345,7 @@ def mc_validate(model: CorrelationModel, b3: float, u: float, v0: np.ndarray,
 
     h, d = build_spin_generator(coefficients(model, b3), u)
     gen = -(h + d)
-    v0 = np.asarray(v0, dtype=float)
-    markov = np.stack([expm(gen * t) @ v0 for t in times])
+    markov = np.stack([propagate(gen, v0, t) for t in times])
 
     dev = np.abs(mean - markov)
     ratio = dev / np.maximum(se, 1e-15)
@@ -377,34 +366,29 @@ def mc_validate(model: CorrelationModel, b3: float, u: float, v0: np.ndarray,
 # accessibility of a correlation family as a whole
 # ---------------------------------------------------------------------------
 
-def _family_draws(model: CorrelationModel, n_draws: int = 2,
-                  seed: int = 0) -> list:
-    """Models sharing the zero pattern of ``model`` with generic amplitudes.
+def _family_draws(model: CorrelationModel, seed: int = 0) -> list:
+    """The model and one model sharing its zero pattern with generic amplitudes.
 
-    The first draw is the model itself; subsequent draws rescale each
-    nonvanishing amplitude independently (and the correlation time, when
-    present) while preserving covariance validity.  Used to probe claims
-    about a correlation family whose amplitudes are unknown phenomenological
-    parameters rather than a single calibrated point.
+    The draw rescales each nonvanishing amplitude independently (and the
+    correlation time, when present) while preserving covariance validity.
+    Used to probe claims about a correlation family whose amplitudes are
+    unknown phenomenological parameters rather than a single calibrated
+    point.
     """
     rng = np.random.default_rng(seed)
-    draws = [model]
-    for _ in range(max(0, n_draws - 1)):
-        s1, s3 = rng.uniform(1.2, 2.5, size=2)
-        r = rng.uniform(0.5, 0.95)
-        w11 = model.w11 * s1
-        w33 = model.w33 * s3
-        w13 = model.w13 * np.sqrt(s1 * s3) * r
-        tau = model.tau * rng.uniform(0.7, 1.4) if model.family == "exponential" else model.tau
-        draws.append(CorrelationModel(model.family, w11=w11, w13=w13, w33=w33, tau=tau))
-    return draws
+    s1, s3 = rng.uniform(1.2, 2.5, size=2)
+    r = rng.uniform(0.5, 0.95)
+    tau = model.tau * rng.uniform(0.7, 1.4) if model.family == "exponential" else model.tau
+    return [model, CorrelationModel(model.family, w11=model.w11 * s1,
+                                    w13=model.w13 * np.sqrt(s1 * s3) * r,
+                                    w33=model.w33 * s3, tau=tau)]
 
 
 def family_lie_generators(model: CorrelationModel, b3: float, u: float = 1.0,
-                          n_draws: int = 2, seed: int = 0) -> list:
+                          seed: int = 0) -> list:
     """Switched generator pairs pooled over generic draws of the family."""
     gens = []
-    for draw in _family_draws(model, n_draws=n_draws, seed=seed):
+    for draw in _family_draws(model, seed=seed):
         coeffs = coefficients(draw, b3)
         _, d = build_spin_generator(coeffs, u)
         gens.extend(switching_generators(hamiltonian_vector(coeffs, u), d))
@@ -412,7 +396,7 @@ def family_lie_generators(model: CorrelationModel, b3: float, u: float = 1.0,
 
 
 def family_lie_dimension(model: CorrelationModel, b3: float, u: float = 1.0,
-                         n_draws: int = 2, seed: int = 0) -> int:
+                         seed: int = 0) -> int:
     """Dimension of the Lie algebra generated by the whole correlation family.
 
     With the amplitudes treated as free parameters, this is the closure of
@@ -420,14 +404,12 @@ def family_lie_dimension(model: CorrelationModel, b3: float, u: float = 1.0,
     ``lie_closure`` on its own generator pair instead (the family dimension
     can exceed it).
     """
-    return lie_closure(family_lie_generators(model, b3, u=u, n_draws=n_draws,
-                                             seed=seed)).dim
+    return lie_closure(family_lie_generators(model, b3, u=u, seed=seed)).dim
 
 
-def positivity_admissible(coeffs: SpinFieldCoefficients, tol: float = 1e-9) -> bool:
+def positivity_admissible(coeffs: SpinFieldCoefficients) -> bool:
     """True iff the dissipation matrix of the coefficients is PSD."""
-    _, d = build_spin_generator(coeffs, u=0.0)
-    return bool(np.linalg.eigvalsh(d)[0] >= -tol)
+    return is_positive(coefficient_matrix(coeffs))
 
 
 __all__ = [

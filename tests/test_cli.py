@@ -321,6 +321,56 @@ def test_missing_input_rejected():
     assert run(["classify"]) == 1
 
 
+def test_usage_errors_exit_as_malformed_input(tmp_path, capsys):
+    # argparse's own exit code 2 would read as a domain error
+    inp = tmp_path / "in.json"
+    write_json(inp, {"basis": [[1, 1, 1, 0, 0, 0]]})
+    for argv in ([], ["evolve", "--input", inp, "--format", "xml"],
+                 ["classify", "--input", inp, "--bogus"],
+                 ["classify", "--input", inp, "--seed", "abc"],
+                 ["lie", "--input", inp, "--tol", "feas=1e-8"],
+                 ["classify", "--input", inp, "--format", "json"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 1, argv
+        assert "usage:" in capsys.readouterr().err, argv
+    with pytest.raises(SystemExit) as exc:
+        run(["classify", "--help"])
+    assert exc.value.code == 0
+    assert "--tol" in capsys.readouterr().out
+
+
+def test_config_rejects_keys_of_flags_the_command_lacks(tmp_path, capsys):
+    inp = tmp_path / "in.json"
+    cfg = tmp_path / "cfg.json"
+    write_json(inp, {"basis": [[1, 1, 1, 0, 0, 0]]})
+    write_json(cfg, {"format": "json"})
+    assert run(["classify", "--input", inp, "--config", cfg]) == 1
+    assert "'format'" in capsys.readouterr().err
+    write_json(inp, {"family": "zero", "b3": 1.0})
+    write_json(cfg, {"tol": {"feas": 1e-8}})
+    assert run(["spin-field", "--input", inp, "--config", cfg]) == 1
+    assert "'tol'" in capsys.readouterr().err
+
+
+def test_integer_fields_reject_fractions(tmp_path, capsys):
+    inp = tmp_path / "in.json"
+    cfg = tmp_path / "cfg.json"
+    write_json(inp, {"family": "white", "w11": 0.2, "b3": 1.0, "v0": [0.5, 0, 0],
+                     "dt": 0.01, "t_final": 1.0, "n_samples": 100.9})
+    assert run(["montecarlo", "--input", inp]) == 1
+    assert "'n_samples' must be an integer" in capsys.readouterr().err
+    write_json(inp, {"basis": [[1, 1, 1, 0, 0, 0]], "draws": 2.5})
+    assert run(["classify", "--input", inp]) == 1
+    assert "'draws' must be an integer" in capsys.readouterr().err
+    write_json(inp, {"basis": [[1, 1, 1, 0, 0, 0]], "draws": 2.0})
+    write_json(cfg, {"seed": 1.7})
+    assert run(["classify", "--input", inp, "--config", cfg]) == 1
+    assert "'seed' must be an integer" in capsys.readouterr().err
+    write_json(cfg, {"seed": 2.0})
+    assert run(["classify", "--input", inp, "--config", cfg]) == 0
+
+
 def test_feas_tolerance_outside_range_rejected(tmp_path, capsys):
     # by default this basis is 3b with n_p 2, n_cp 1; feas = -1 made it 3c and
     # feas = 1e9 gave case 1 next to certificate condition1
@@ -414,3 +464,37 @@ def test_evolve_and_csv_peak_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 16e6, peak
+
+
+def test_evolve_json_peak_memory(tmp_path):
+    # a warm 2e4-sample schedule written as JSON: json.dump streams the text,
+    # so only the nested lists of the trajectory stay (6 MB); building the
+    # whole text first peaked at 22 MB
+    import tracemalloc
+
+    from spinaccess import ControlSchedule, evolve_schedule
+    from spinaccess.cli import _trajectory_dict, _write_json
+    from spinaccess.generator import dissipation_from_kossakowski
+
+    rng = np.random.default_rng(31)
+    a = rng.standard_normal((3, 3))
+    d = dissipation_from_kossakowski(2e-4 * (a @ a.T))
+    h = rng.standard_normal(3)
+    sched = ControlSchedule([(80.0, 1.0), (120.0, 0.0)])
+    path = tmp_path / "traj.json"
+
+    def work():
+        traj = evolve_schedule(h, d, sched, [0.3, 0.1, 0.0], 0.01)
+        assert len(traj.times) == 20_001
+        _write_json(_trajectory_dict(traj), str(path))
+
+    work()
+    want = json.dumps(json.loads(path.read_text()), indent=2) + "\n"
+    assert path.read_text() == want
+    tracemalloc.start()
+    try:
+        work()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6, peak

@@ -21,6 +21,23 @@ def test_subspace_validation():
         ParamSubspace.from_vec6(np.vstack([np.eye(6), np.ones((1, 6))]))
 
 
+def test_near_dependent_basis_keeps_verdicts():
+    # the basis rank is decided where the cones and the span decide it, so a
+    # basis the analysis resolves is accepted and one it cannot is refused
+    e11, e22 = np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])
+
+    def summary(basis):
+        v = ParamSubspace(np.stack(basis))
+        a = classify_subspace(v)
+        return (a.case_label, a.n_p, a.n_cp, isotropic_span(v).k_dim,
+                rank_drop_certificate(v))
+
+    assert summary([e11, e11 + 1e-6 * e22]) == summary([e11, e22])
+    for basis in ([e11, e11 + 1e-8 * e22], [e11, -3.0 * e11], [e11, e22, e11 - 2.0 * e22]):
+        with pytest.raises(ValueError, match="not linearly independent"):
+            ParamSubspace(np.stack(basis))
+
+
 def test_cp_membership_examples():
     assert is_completely_positive(np.eye(3), 1e-9)
     assert not is_completely_positive(np.diag([1.0, 1.0, -0.1]), 1e-9)

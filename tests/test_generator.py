@@ -45,6 +45,14 @@ def test_spin_field_pattern_matches_explicit_block():
     assert np.allclose(d, expected, atol=1e-15)
 
 
+def test_diagonal_has_no_cancellation():
+    # the trace form 2 (Tr C - c11) read D11 = 0 for the first matrix and
+    # was 9e-5 off, relative, for the second
+    assert dissipation_from_kossakowski(np.diag([1e16, 1.0, 1.0]))[0, 0] == 4.0
+    d11 = dissipation_from_kossakowski(np.diag([1.0, 1e-12, 1e-12]))[0, 0]
+    assert abs(d11 - 4e-12) <= np.spacing(4e-12)
+
+
 def test_inverse_examples():
     assert np.allclose(kossakowski_from_dissipation(4 * np.eye(3)), np.eye(3))
     assert np.allclose(kossakowski_from_dissipation(np.zeros((3, 3))), np.zeros((3, 3)))

@@ -5,8 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from spinaccess import (CorrelationModel, InvalidModelError, StepSizeError,
-                        build_spin_generator, coefficient_matrix, coefficients,
-                        cp_admissible, dissipation_from_kossakowski,
+                        build_spin_generator, coefficients, cp_admissible,
                         family_lie_dimension, lie_closure, mc_sample,
                         mc_validate, positivity_admissible, propagate,
                         sz_derivatives)
@@ -97,17 +96,29 @@ def test_generator_cross_coupling_slots():
     assert np.isclose(d[2, 0], -2 * w13)
 
 
-def test_dissipation_agrees_with_coefficient_matrix():
+def literal_spin_field_dissipation(coeffs):
+    """D of the spin-field model written out by hand, with c22 = 0 folded in."""
+    return 2.0 * np.array([
+        [coeffs.c33, -coeffs.c12, -coeffs.c13],
+        [-coeffs.c12, coeffs.c11 + coeffs.c33, -coeffs.c23],
+        [-coeffs.c13, -coeffs.c23, coeffs.c11],
+    ])
+
+
+def test_spin_field_dissipation_matches_literal_bitwise():
+    # tobytes() compares the signs of zero entries too
     rng = np.random.default_rng(30)
-    for _ in range(20):
-        w11, w33 = rng.uniform(0.1, 2, 2)
-        w13 = rng.uniform(-1, 1) * np.sqrt(w11 * w33)
-        model = CorrelationModel("exponential", w11=w11, w13=w13, w33=w33,
+    for k in range(2000):
+        family = ("zero", "white", "exponential")[k % 3]
+        w11, w33 = rng.uniform(0.0, 2.0, 2) * (rng.random(2) < 0.8)
+        w13 = rng.uniform(-1, 1) * np.sqrt(w11 * w33) * (rng.random() < 0.8)
+        model = CorrelationModel(family, w11=w11, w13=w13, w33=w33,
                                  tau=rng.uniform(0.1, 2))
-        coeffs = coefficients(model, b3=rng.uniform(-2, 2))
-        _, d = build_spin_generator(coeffs, u=rng.uniform())
-        ref = dissipation_from_kossakowski(coefficient_matrix(coeffs))
-        assert np.max(np.abs(d - ref)) < 1e-14
+        b3 = 0.0 if k % 5 == 0 else rng.uniform(-2, 2)
+        u = 0.0 if k % 7 == 0 else rng.uniform(-1, 1)
+        coeffs = coefficients(model, b3)
+        _, d = build_spin_generator(coeffs, u)
+        assert d.tobytes() == literal_spin_field_dissipation(coeffs).tobytes(), k
 
 
 def test_control_skips_noise_frequencies():
