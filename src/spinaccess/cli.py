@@ -62,14 +62,21 @@ def _load_json(path: str, context: str) -> dict:
     return data
 
 
+def _is_number(value) -> bool:
+    """True for a JSON number; quoted numbers and booleans are not numbers."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _number(value, name) -> float:
-    """A finite float, or an input error naming the field."""
+    """A finite JSON number as a float, or an input error naming the field."""
+    if not _is_number(value):
+        raise InputError(f"field {name!r} must be a number, got {value!r}")
     try:
         x = float(value)
-    except (TypeError, ValueError):
-        raise InputError(f"field {name!r} must be a number, got {value!r}")
+    except OverflowError:
+        x = np.inf
     if not np.isfinite(x):
-        raise InputError(f"field {name!r} must be finite, got {x}")
+        raise InputError(f"field {name!r} must be finite, got {value!r}")
     return x
 
 
@@ -82,12 +89,13 @@ def _integer(value, name) -> int:
 
 
 def _vector(data, name, length):
-    try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.shape != (length,):
+    if not (isinstance(data, list) and len(data) == length
+            and all(_is_number(x) for x in data)):
         raise InputError(f"field {name!r} must be a list of {length} numbers")
+    try:
+        arr = np.array(data, dtype=float)
+    except OverflowError:
+        arr = np.array([np.inf])
     if not np.all(np.isfinite(arr)):
         raise InputError(f"field {name!r} must hold finite numbers")
     return arr
@@ -203,10 +211,12 @@ def cmd_evolve(args) -> int:
     segments = data["schedule"]
     if not isinstance(segments, list):
         raise InputError("field 'schedule' must be a list of [duration, u] pairs")
+    if not all(isinstance(s, list) and len(s) == 2 for s in segments):
+        raise InputError("field 'schedule' must be a list of [duration, u] pairs")
     try:
         sched = ControlSchedule([(_number(s[0], "schedule"), _number(s[1], "schedule"))
                                  for s in segments])
-    except (TypeError, IndexError, ValueError) as exc:
+    except ValueError as exc:
         raise InputError(f"field 'schedule' is invalid: {exc}")
     dt = _number(data["dt"], "dt")
     if dt <= 0:
@@ -325,6 +335,8 @@ def _parse_tols(pairs) -> dict:
         if "=" not in pair:
             raise InputError(f"--tol expects KEY=VAL, got {pair!r}")
         key, _, val = pair.partition("=")
+        with contextlib.suppress(ValueError):
+            val = float(val)  # a flag's text; left as text, it is rejected below
         out[key] = _tolerance(key, val)
     return out
 

@@ -32,8 +32,9 @@ from .generator import (dissipation_from_kossakowski, kossakowski_from_dissipati
                         require_symmetric, vec6_to_sym)
 
 #: Feasibility tolerance: a point is admissible when the relevant minimum
-#: eigenvalue is >= -FEAS_TOL.  A face counts as strictly feasible when its
-#: unit-norm central member has lambda_min above FEAS_TOL.
+#: eigenvalue is >= -FEAS_TOL times the matrix's Frobenius norm.  A face
+#: counts as strictly feasible when its unit-norm central member has
+#: lambda_min above FEAS_TOL.
 FEAS_TOL = 1e-9
 
 #: Accepted range of the feasibility tolerance, ends included.  Over the 18
@@ -135,16 +136,20 @@ class IsotropicSpan:
     k_dim: int
 
 
+def _is_psd(m: np.ndarray, tol: float) -> bool:
+    """lambda_min(m) >= -tol |m|_F, relative as the depth in classify_subspace
+    is, so the answer does not depend on the scale of m."""
+    return bool(np.linalg.eigvalsh(m)[0] >= -tol * np.linalg.norm(m))
+
+
 def is_completely_positive(c: np.ndarray, tol: float = FEAS_TOL) -> bool:
-    """True iff the coefficient matrix itself is PSD: lambda_min(C) >= -tol."""
-    c = require_symmetric(c, "kossakowski matrix")
-    return bool(np.linalg.eigvalsh(c)[0] >= -tol)
+    """True iff the coefficient matrix itself is PSD: lambda_min(C) >= -tol |C|_F."""
+    return _is_psd(require_symmetric(c, "kossakowski matrix"), tol)
 
 
 def is_positive(c: np.ndarray, tol: float = FEAS_TOL) -> bool:
-    """True iff the dissipation matrix D(C) is PSD: lambda_min(D) >= -tol."""
-    d = dissipation_from_kossakowski(c)
-    return bool(np.linalg.eigvalsh(d)[0] >= -tol)
+    """True iff the dissipation matrix D(C) is PSD: lambda_min(D) >= -tol |D|_F."""
+    return _is_psd(dissipation_from_kossakowski(c), tol)
 
 
 # ---------------------------------------------------------------------------

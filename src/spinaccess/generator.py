@@ -19,6 +19,10 @@ import numpy as np
 
 _SYM_TOL = 1e-12
 
+#: Factor of Hmat: the coherent motion dv/dt = -Hmat(h) v precesses about h
+#: at angular rate HMAT_FACTOR * |h|.
+HMAT_FACTOR = 2.0
+
 
 def require_symmetric(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Return ``m`` as a float array, raising ValueError if not symmetric 3x3."""
@@ -71,15 +75,15 @@ def kossakowski_from_dissipation(d: np.ndarray) -> np.ndarray:
 def hamiltonian_matrix(h: np.ndarray) -> np.ndarray:
     """Skew-symmetric coherence-vector action of the Hamiltonian vector h.
 
-    Hmat(h) = 2 [[0, h3, -h2], [-h3, 0, h1], [h2, -h1, 0]], so that the
-    purely coherent motion dv/dt = -Hmat(h) v is precession about h at
-    angular rate 2|h|.
+    Hmat(h) = HMAT_FACTOR [[0, h3, -h2], [-h3, 0, h1], [h2, -h1, 0]] with
+    HMAT_FACTOR = 2, so that the purely coherent motion dv/dt = -Hmat(h) v is
+    precession about h at angular rate 2|h|.
     """
     h = np.asarray(h, dtype=float)
     if h.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {h.shape}")
     h1, h2, h3 = h
-    return 2.0 * np.array([
+    return HMAT_FACTOR * np.array([
         [0.0, h3, -h2],
         [-h3, 0.0, h1],
         [h2, -h1, 0.0],

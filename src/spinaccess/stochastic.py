@@ -23,7 +23,8 @@ import numpy as np
 from .cones import FEAS_TOL, is_completely_positive, is_positive
 from .dynamics import Trajectory, propagate
 from .errors import InvalidModelError, StepSizeError
-from .generator import dissipation_from_kossakowski, hamiltonian_matrix, vec6_to_sym
+from .generator import (HMAT_FACTOR, dissipation_from_kossakowski, hamiltonian_matrix,
+                        vec6_to_sym)
 from .liealg import lie_closure, switching_generators
 
 _FAMILIES = ("zero", "white", "exponential")
@@ -33,8 +34,10 @@ _COV_TOL = 1e-12
 
 #: Most realizations times steps one Monte Carlo run may take, five times
 #: the 2000 x 1000 README run.  At the bound, a CLI ``montecarlo`` of 100
-#: samples of 1e5 steps, white or exponential, peaked at 0.22 GB resident
-#: (0.16 GB of it the batch's noise draws) and took 12 s on a 2-core host.
+#: samples of 1e5 steps, white or exponential, peaked at 82 MB resident
+#: (58 MB for 100 steps; the rest is the report's per-time arrays) and took
+#: 8-10 s on a 2-core host, most of it in the 1e5 ``expm`` calls of the
+#: Markov reference.
 MAX_SAMPLE_STEPS = 10_000_000
 
 
@@ -190,70 +193,172 @@ def _time_grid(dt: float, t_final: float, n_samples: int = 1) -> np.ndarray:
     return np.asarray(durations)
 
 
-def _field_steps(model: CorrelationModel, durations: np.ndarray,
-                 seed: int, sample_indices):
-    """Yield the field values (len(samples), 2) held on each step, in order.
+#: Steps of noise drawn per call of a sample's generator.  A call costs
+#: about 2.4 us on a 2-core host; the draws held take 16 bytes per sample
+#: and step (2 MB for 2000 samples), beside the 2000 generators' 1.9 MB.
+NOISE_CHUNK = 64
+
+#: Steps whose rotation axes and angles are computed in one pass; about
+#: 170 bytes per sample and step are held while they are applied.
+ROTATION_CHUNK = 4
+
+#: Samples summed as one block before the blocks are added in order; the
+#: order of the sums fixes the last bits of the mean and standard error.
+SUM_BLOCK = 256
+
+
+def _chunks(n: int, size: int) -> list:
+    """Consecutive (start, stop) ranges over n of at most ``size`` (>= 3) items.
+
+    A lone last item is moved into a chunk with the one before it: the
+    draws pass through a matrix product, which rounds a lone row
+    differently from a row of a longer block.
+    """
+    bounds = list(range(0, n, size)) + [n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        bounds[-2] -= 1
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _correlate(z: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """z @ root.T for a (steps, samples, 2) block of standard normal draws.
+
+    Every row is rounded as in one product per sample over its whole
+    stream: products of two or more rows round each row alike, so the rows
+    of all samples go through one product, while a lone row (a one-step
+    stream) goes through numpy's vector path, sample by sample.
+    """
+    if len(z) == 1:
+        return (z[0][:, None] @ root.T).reshape(z.shape)
+    return (z.reshape(-1, 2) @ root.T).reshape(z.shape)
+
+
+def _field_chunks(model: CorrelationModel, durations: np.ndarray,
+                  seed: int, sample_indices):
+    """Yield the field values held on consecutive chunks of steps, (steps, samples, 2).
 
     Each sample k draws from an independent stream seeded by (seed, k), so
     ensemble runs are reproducible and any single member can be regenerated
-    in isolation.  The streams are drawn whole up front; the steps then run
-    across all samples at once.
+    in isolation.  Every stream is drawn NOISE_CHUNK steps at a time, so the
+    noise held does not grow with the number of steps, and the values equal
+    those of one whole draw per stream bit for bit.
     """
     n_steps = len(durations)
-    root = _cov_sqrt(model.covariance)
-    white = model.family == "white"
-    # white: one independent draw per step; exponential: the stationary
-    # initial value plus one innovation per step
-    n_draws = n_steps if white else n_steps + 1
-    z = np.empty((len(sample_indices), n_draws, 2))
-    for row, k in enumerate(sample_indices):
-        rng = np.random.default_rng([seed, k])
-        z[row] = rng.standard_normal((n_draws, 2)) @ root.T
-    if white:
-        scale = 1.0 / np.sqrt(durations)
-        for j in range(n_steps):
-            yield z[:, j] * scale[j]
+    if not n_steps:
         return
-    # exponential: stationary bivariate Ornstein-Uhlenbeck chain with exact
-    # one-step conditional updates (Gillespie 1996), field held at the
-    # step-start value
-    phi = np.exp(-durations / model.tau)
-    innov = np.sqrt(1.0 - phi**2)
-    beta = z[:, 0]
-    for j in range(n_steps):
-        yield beta
-        beta = phi[j] * beta + innov[j] * z[:, j + 1]
+    root = _cov_sqrt(model.covariance)
+    rngs = [np.random.default_rng([seed, k]) for k in sample_indices]
+    white = model.family == "white"
+    if white:
+        # one independent draw per step
+        n_draws = n_steps
+        scale = 1.0 / np.sqrt(durations)
+    else:
+        # stationary bivariate Ornstein-Uhlenbeck chain with exact one-step
+        # conditional updates (Gillespie 1996), the field held at the
+        # step-start value: draw 0 is the stationary initial value, draw j
+        # the innovation into step j, and one last draw is never used
+        n_draws = n_steps + 1
+        phi = np.exp(-durations / model.tau)
+        innov = np.sqrt(1.0 - phi**2)
+    draws = np.empty((len(rngs), NOISE_CHUNK, 2))
+    for start, stop in _chunks(n_draws, NOISE_CHUNK):
+        z = draws[:, :stop - start]
+        for row, rng in enumerate(rngs):
+            rng.standard_normal(out=z[row])
+        for lo, hi in _chunks(stop - start, ROTATION_CHUNK):
+            first = start + lo
+            # step-major copy, one (re, im) pair per (sample, step) moved at once
+            pairs = np.ascontiguousarray(z[:, lo:hi].view(np.complex128).T)
+            fields = _correlate(pairs.view(float).reshape(hi - lo, -1, 2), root)
+            del pairs
+            fields = fields[:n_steps - first]
+            if white:
+                fields *= scale[first:first + len(fields), None, None]
+            else:
+                for j, field in enumerate(fields, start=first):
+                    if j > 0:
+                        field *= innov[j - 1]
+                        field += phi[j - 1] * beta
+                    beta = field
+                beta = beta.copy()
+            yield fields
 
 
-def _rotate_states(states: np.ndarray, h: np.ndarray, dt: float) -> np.ndarray:
-    """Exact precession step v -> R(2h, dt) v, batched (Rodrigues formula)."""
-    omega = 2.0 * h
-    speed = np.linalg.norm(omega, axis=1)
-    theta = speed * dt
+def _precession(fields: np.ndarray, durations: np.ndarray, b3: float, u: float):
+    """Axis and angle of the exact precession of each step of a chunk,
+    v -> R(HMAT_FACTOR * h, dt) v, about the field h = (beta_1, 0, u b3 + beta_3).
+
+    Returns the unit axis as (steps, 3, samples) and the cos, sin and
+    1 - cos of the angle as (steps, 1, samples).
+    """
+    axis = np.zeros((len(fields), 3, fields.shape[1]))
+    axis[:, 0] = fields[..., 0]
+    axis[:, 2] = u * b3 + fields[..., 1]
+    axis *= HMAT_FACTOR
+    # |omega|, its squares summed in the order of np.linalg.norm
+    speed = axis[:, 0] * axis[:, 0]
+    speed += axis[:, 1] * axis[:, 1]
+    speed += axis[:, 2] * axis[:, 2]
+    speed = np.sqrt(speed)[:, None]
     small = speed < 1e-300
-    axis = np.where(small[:, None], 0.0, omega / np.where(small, 1.0, speed)[:, None])
-    cos_t = np.cos(theta)[:, None]
-    sin_t = np.sin(theta)[:, None]
-    # the cross product by components: np.cross spends most of its time on
-    # axis handling for arrays this small
-    a0, a1, a2 = axis.T
-    s0, s1, s2 = states.T
-    cross = np.stack([a1 * s2 - a2 * s1, a2 * s0 - a0 * s2, a0 * s1 - a1 * s0], axis=1)
-    dot = np.einsum("ij,ij->i", axis, states)[:, None]
-    return states * cos_t + cross * sin_t + axis * dot * (1.0 - cos_t)
+    axis /= np.where(small, 1.0, speed)
+    np.copyto(axis, 0.0, where=small)
+    theta = np.multiply(speed, durations[:, None, None], out=speed)
+    cos_t = np.cos(theta)
+    return axis, cos_t, np.sin(theta, out=theta), 1.0 - cos_t
 
 
-def _state_steps(model, b3, u, v0, durations, seed, sample_indices):
-    """Yield the states (len(samples), 3) at each grid time, v0 first."""
+def _advance(states: np.ndarray, fields: np.ndarray, durations: np.ndarray,
+             b3: float, u: float) -> np.ndarray:
+    """States after each step of a chunk, (samples, steps, 3), from states (3, samples).
+
+    All samples advance together, one step at a time, by the Rodrigues
+    formula v cos + (a x v) sin + a (a . v)(1 - cos).
+    """
+    axis, cos_t, sin_t, omc = _precession(fields, durations, b3, u)
+    out = np.empty(axis.shape)
+    for a, c, s, o, new in zip(axis, cos_t, sin_t, omc, out):
+        cross = a[[1, 2, 0]] * states[[2, 0, 1]]
+        cross -= a[[2, 0, 1]] * states[[1, 2, 0]]
+        cross *= s
+        # a . v summed as np.einsum("ij,ij->i") sums it, +0 first
+        prod = a * states
+        dot = prod[0] + prod[2]
+        dot += prod[1]
+        dot += 0.0
+        np.multiply(states, c, out=new)
+        new += cross
+        new += a * dot * o
+        states = new
+    return np.ascontiguousarray(out.transpose(2, 0, 1))
+
+
+def _state_chunks(model, b3, u, v0, durations, seed, sample_indices):
+    """Yield the states at consecutive chunks of grid times, (samples, times, 3).
+
+    The first chunk is v0 alone.
+    """
     n = len(sample_indices)
-    states = np.tile(np.asarray(v0, dtype=float), (n, 1))
-    yield states
-    h = np.zeros((n, 3))
-    for dt_j, beta in zip(durations, _field_steps(model, durations, seed, sample_indices)):
-        h[:, 0] = beta[:, 0]
-        h[:, 2] = u * b3 + beta[:, 1]
-        states = _rotate_states(states, h, dt_j)
-        yield states
+    v0 = np.asarray(v0, dtype=float)
+    chunk = np.tile(v0, (n, 1, 1))
+    step = 0
+    for fields in _field_chunks(model, durations, seed, sample_indices):
+        yield chunk
+        states = np.ascontiguousarray(chunk[:, -1].T)
+        chunk = _advance(states, fields, durations[step:step + len(fields)], b3, u)
+        step += len(fields)
+    yield chunk
+
+
+def _ensemble_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the samples, the first axis of x: each block of SUM_BLOCK
+    samples is summed in sample order, then the block sums in block order."""
+    full = len(x) - len(x) % SUM_BLOCK
+    blocks = [x[:full].reshape(-1, SUM_BLOCK, *x.shape[1:]).sum(axis=1)]
+    if full < len(x):
+        blocks.append(x[full:].sum(axis=0, keepdims=True))
+    return np.concatenate(blocks).sum(axis=0)
 
 
 def _check_mc_preconditions(model: CorrelationModel, dt: float):
@@ -281,7 +386,8 @@ def mc_sample(model: CorrelationModel, b3: float, u: float, v0: np.ndarray,
     """
     _check_mc_preconditions(model, dt)
     durations = _time_grid(dt, t_final)
-    states = np.concatenate(list(_state_steps(model, b3, u, v0, durations, seed, [0])))
+    states = np.concatenate([chunk[0] for chunk in
+                             _state_chunks(model, b3, u, v0, durations, seed, [0])])
     times = np.concatenate([[0.0], np.cumsum(durations)])
     return Trajectory(
         times=times,
@@ -316,6 +422,12 @@ def mc_validate(model: CorrelationModel, b3: float, u: float, v0: np.ndarray,
     generator, and reports componentwise deviations with their standard
     errors.
 
+    All realizations advance together, one time step at a time, their noise
+    drawn NOISE_CHUNK steps at a time, so the memory held grows with
+    ``n_samples`` and with the number of grid times (the report's arrays),
+    but not with their product.  Each time's states are summed over blocks
+    of SUM_BLOCK samples, and the block sums added in order.
+
     ``within_3se`` is a pointwise test: every (time, component) deviation,
     about 3000 of them on a 1000-step grid, must lie within 3 standard
     errors, with no allowance for their number.  It therefore reads False
@@ -331,21 +443,23 @@ def mc_validate(model: CorrelationModel, b3: float, u: float, v0: np.ndarray,
     durations = _time_grid(dt, t_final, n_samples)
     times = np.concatenate([[0.0], np.cumsum(durations)])
 
-    batch = 256
     total = np.zeros((len(times), 3))
     total_sq = np.zeros((len(times), 3))
-    for start in range(0, n_samples, batch):
-        idx = range(start, min(start + batch, n_samples))
-        for j, states in enumerate(_state_steps(model, b3, u, v0, durations, seed, idx)):
-            total[j] += states.sum(axis=0)
-            total_sq[j] += (states**2).sum(axis=0)
+    j = 0
+    for chunk in _state_chunks(model, b3, u, v0, durations, seed, range(n_samples)):
+        rows = slice(j, j + chunk.shape[1])
+        total[rows] += _ensemble_sum(chunk)
+        total_sq[rows] += _ensemble_sum(chunk**2)
+        j = rows.stop
     mean = total / n_samples
     var = np.maximum(total_sq / n_samples - mean**2, 0.0) * n_samples / max(n_samples - 1, 1)
     se = np.sqrt(var / n_samples)
 
     h, d = build_spin_generator(coefficients(model, b3), u)
     gen = -(h + d)
-    markov = np.stack([propagate(gen, v0, t) for t in times])
+    markov = np.empty((len(times), 3))
+    for k, t in enumerate(times):
+        markov[k] = propagate(gen, v0, t)
 
     dev = np.abs(mean - markov)
     ratio = dev / np.maximum(se, 1e-15)

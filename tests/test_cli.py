@@ -371,6 +371,55 @@ def test_integer_fields_reject_fractions(tmp_path, capsys):
     assert run(["classify", "--input", inp, "--config", cfg]) == 0
 
 
+EVOLVE_INPUT = {"c": [1, 1, 1, 0, 0, 0], "h": [0, 0, 1], "v0": [0.5, 0, 0],
+                "schedule": [[1.0, 1.0]], "dt": 0.5}
+
+
+@pytest.mark.parametrize("key, value, field", [
+    ("dt", "0.5", "dt"),
+    ("dt", True, "dt"),
+    ("c", ["1", "1", "1", 0, 0, 0], "c"),
+    ("h", [0, 0, True], "h"),
+    ("v0", [0.5, False, 0], "v0"),
+    ("schedule", [["1.0", 1.0]], "schedule"),
+    ("schedule", [[1.0, True]], "schedule"),
+    ("schedule", [{"0": 1.0, "1": 1.0}], "schedule"),
+])
+def test_evolve_rejects_quoted_and_boolean_numbers(tmp_path, capsys, key, value, field):
+    inp = tmp_path / "in.json"
+    write_json(inp, {**EVOLVE_INPUT, key: value})
+    assert run(["evolve", "--input", inp, "--output", tmp_path / "out.csv"]) == 1
+    assert f"field {field!r}" in capsys.readouterr().err
+
+
+def test_integer_and_tolerance_fields_reject_quoted_and_boolean_numbers(tmp_path, capsys):
+    inp = tmp_path / "in.json"
+    cfg = tmp_path / "cfg.json"
+    mc = {"family": "white", "w11": 0.2, "b3": 1.0, "v0": [0.5, 0, 0],
+          "dt": 0.01, "t_final": 1.0, "n_samples": 100}
+    for key, value in (("n_samples", "100"), ("n_samples", True), ("w11", "0.2"),
+                       ("b3", False)):
+        write_json(inp, {**mc, key: value})
+        assert run(["montecarlo", "--input", inp]) == 1
+        assert f"field {key!r} must be a number" in capsys.readouterr().err
+    write_json(inp, {"basis": [[1, 1, 1, 0, 0, 0]], "draws": "2"})
+    assert run(["classify", "--input", inp]) == 1
+    assert "field 'draws' must be a number" in capsys.readouterr().err
+    write_json(inp, {"basis": [[1, 1, 1, 0, 0, True]]})
+    assert run(["classify", "--input", inp]) == 1
+    assert "field 'basis row'" in capsys.readouterr().err
+    write_json(inp, {"basis": [[1, 1, 1, 0, 0, 0]]})
+    for conf, field in (({"seed": "1"}, "'seed'"), ({"seed": True}, "'seed'"),
+                        ({"tol": {"feas": "1e-9"}}, "'tolerance feas'")):
+        write_json(cfg, conf)
+        assert run(["classify", "--input", inp, "--config", cfg]) == 1
+        assert f"field {field} must be a number" in capsys.readouterr().err
+    # a flag's value is text and is still read as a number
+    assert run(["classify", "--input", inp, "--tol", "feas=1e-9"]) == 0
+    assert run(["classify", "--input", inp, "--tol", "feas=tiny"]) == 1
+    assert "field 'tolerance feas' must be a number" in capsys.readouterr().err
+
+
 def test_feas_tolerance_outside_range_rejected(tmp_path, capsys):
     # by default this basis is 3b with n_p 2, n_cp 1; feas = -1 made it 3c and
     # feas = 1e9 gave case 1 next to certificate condition1

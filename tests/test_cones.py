@@ -54,6 +54,22 @@ def test_positivity_membership_examples():
     assert not is_positive(-np.eye(3), 1e-9)
 
 
+def test_cone_membership_is_scale_free():
+    # lambda_min is compared with the matrix norm: the indefinite
+    # diag(1, -1e-3, 0), with lambda_min(C) and lambda_min(D) both -1e-3
+    # relative to the norm, is refused at every scale, and the PSD members
+    # of the examples above are accepted at every scale
+    indefinite = np.diag([1.0, -1e-3, 0.0])
+    for scale in (1e-12, 1e-7, 1.0, 1e7):
+        assert not is_completely_positive(scale * indefinite)
+        assert not is_positive(scale * indefinite)
+        assert is_completely_positive(scale * np.eye(3))
+        assert is_positive(scale * np.array([[1.0, 0.1, 0.0], [0.1, 0.0, 0.0],
+                                             [0.0, 0.0, 1.0]]))
+    assert is_completely_positive(np.zeros((3, 3)))
+    assert is_positive(np.zeros((3, 3)))
+
+
 def test_cp_implies_positive():
     rng = np.random.default_rng(10)
     for _ in range(1000):

@@ -308,6 +308,18 @@ def test_infeasible_coordinates_rejected():
         compare_accessibility(v, [0, 0, 1.0], [-1.0, -1.0, 0.0], [1.0, 1.0, 0.0])
 
 
+def test_infeasible_coordinates_rejected_at_every_scale():
+    # the member E11 - 1e-3 E22 is indefinite under both cones; at
+    # coordinate 1e-7 its lambda_min, -1e-10, once passed the absolute
+    # tolerance and the closures were computed (dim_cp 4)
+    v = ParamSubspace.from_vec6([[1, -1e-3, 0, 0, 0, 0], [1, 1, 1, 0, 0, 0]])
+    for s in (1e-7, 1.0):
+        with pytest.raises(InfeasibleParametersError, match="complete positivity"):
+            compare_accessibility(v, [0, 0, 1.0], [0.0, 1.0], [s, 0.0])
+        with pytest.raises(InfeasibleParametersError, match="theta_p"):
+            compare_accessibility(v, [0, 0, 1.0], [s, 0.0], [0.0, 1.0])
+
+
 def test_differing_verdict_implies_rank_drop_certificate():
     # subspaces where the two closures differ must carry a nonzero verdict
     v = ParamSubspace.from_free_entries(["c11", "c22", "c23"])

@@ -9,8 +9,11 @@ from spinaccess import (CorrelationModel, InvalidModelError, StepSizeError,
                         family_lie_dimension, lie_closure, mc_sample,
                         mc_validate, positivity_admissible, propagate,
                         sz_derivatives)
-from spinaccess.stochastic import (_cov_sqrt, _field_steps, _state_steps,
-                                   _time_grid, hamiltonian_vector)
+from scipy.linalg import expm
+
+from spinaccess import hamiltonian_matrix
+from spinaccess.stochastic import (NOISE_CHUNK, ROTATION_CHUNK, _cov_sqrt, _field_chunks,
+                                   _state_chunks, _time_grid, hamiltonian_vector)
 
 
 def quad_coefficients(w11, w13, w33, tau, b3):
@@ -338,17 +341,25 @@ MC_MODELS = [
 ]
 
 
-@pytest.mark.parametrize("model", MC_MODELS, ids=["white", "dephasing", "bivariate"])
-def test_mc_stepping_matches_per_sample_reference(model):
-    # a shortened final step (1.003 = 200 * 0.005 + 0.003), a batch that
-    # starts at sample 256, and a validation run over two batches
-    dt, t_final, v0, seed = 0.005, 1.003, [0.3, 0.2, 0.1], 4
+def chunked_fields(model, durations, seed, sample_indices):
+    """The field values of every step, (n, n_steps, 2), from the chunked draws."""
+    chunks = list(_field_chunks(model, durations, seed, sample_indices))
+    return np.concatenate(chunks).transpose(1, 0, 2)
+
+
+def chunked_states(model, b3, u, v0, durations, seed, sample_indices):
+    """The states at every grid time, (n, n_steps + 1, 3), from the lockstep ensemble."""
+    return np.concatenate(list(_state_chunks(model, b3, u, v0, durations, seed,
+                                             sample_indices)), axis=1)
+
+
+def assert_stepping_matches_reference(model, dt, t_final, n_samples):
+    v0, seed = [0.3, 0.2, 0.1], 4
     durations = _time_grid(dt, t_final)
-    assert len(durations) == 201 and durations[-1] < dt
     idx = range(256, 300)
-    fields = np.stack(list(_field_steps(model, durations, seed, idx)), axis=1)
+    fields = chunked_fields(model, durations, seed, idx)
     assert np.array_equal(fields, reference_noise_values(model, durations, seed, idx))
-    states = np.stack(list(_state_steps(model, 1.0, 0.7, v0, durations, seed, idx)), axis=1)
+    states = chunked_states(model, 1.0, 0.7, v0, durations, seed, idx)
     ref = reference_ensemble_states(model, 1.0, 0.7, v0, durations, seed, idx)
     assert np.array_equal(states, ref)
 
@@ -356,16 +367,71 @@ def test_mc_stepping_matches_per_sample_reference(model):
     ref = reference_ensemble_states(model, 1.0, 0.7, v0, durations, seed, [0])[0]
     assert np.array_equal(traj.states, ref)
 
-    report = mc_validate(model, 1.0, 0.7, v0, dt, t_final, n_samples=300, seed=seed)
-    mean, se = reference_mean_and_se(model, 1.0, 0.7, v0, durations, seed, 300)
+    report = mc_validate(model, 1.0, 0.7, v0, dt, t_final, n_samples=n_samples, seed=seed)
+    mean, se = reference_mean_and_se(model, 1.0, 0.7, v0, durations, seed, n_samples)
     assert np.array_equal(report.mean_states, mean)
     assert np.array_equal(report.standard_error, se)
 
 
+@pytest.mark.parametrize("model", MC_MODELS, ids=["white", "dephasing", "bivariate"])
+def test_mc_stepping_matches_per_sample_reference(model):
+    # a shortened final step (1.003 = 200 * 0.005 + 0.003), a batch that
+    # starts at sample 256, and a validation run over two sum blocks
+    durations = _time_grid(0.005, 1.003)
+    assert len(durations) == 201 and durations[-1] < 0.005
+    assert_stepping_matches_reference(model, 0.005, 1.003, n_samples=300)
+
+
+@pytest.mark.parametrize("model", MC_MODELS, ids=["white", "dephasing", "bivariate"])
+def test_mc_validate_matches_reference_over_a_partial_sum_block(model):
+    # 700 samples: two full sum blocks of 256 and a partial one of 188
+    assert_stepping_matches_reference(model, 0.005, 0.203, n_samples=700)
+
+
+@pytest.mark.parametrize("model", [MC_MODELS[0], MC_MODELS[2]], ids=["white", "bivariate"])
+@pytest.mark.parametrize("n_steps", [1, 2, NOISE_CHUNK, NOISE_CHUNK + 1,
+                                     ROTATION_CHUNK + 1, 2 * NOISE_CHUNK + 1])
+def test_mc_stepping_matches_reference_at_chunk_edges(model, n_steps):
+    # white noise draws one value per step, exponential noise one more, so
+    # these grids leave one draw past a noise or rotation chunk, which must
+    # not be multiplied by the covariance root on its own
+    dt = 0.005
+    durations = _time_grid(dt, n_steps * dt)
+    assert len(durations) == n_steps
+    assert_stepping_matches_reference(model, dt, n_steps * dt, n_samples=100)
+
+
+@pytest.mark.parametrize("model", [MC_MODELS[0], MC_MODELS[2]], ids=["white", "bivariate"])
+def test_mc_grid_without_steps_keeps_the_initial_state(model):
+    # t_final below the grid's 1e-12 resolution leaves no step to sample
+    v0 = [0.3, 0.2, 0.1]
+    traj = mc_sample(model, 1.0, 0.7, v0, 0.005, 1e-13, seed=4)
+    assert np.array_equal(traj.states, [v0])
+    report = mc_validate(model, 1.0, 0.7, v0, 0.005, 1e-13, n_samples=100, seed=4)
+    assert np.array_equal(report.times, [0.0])
+    assert np.max(np.abs(report.mean_states - [v0])) < 1e-15
+    assert np.max(report.standard_error) < 1e-8
+
+
+def test_mc_steps_are_exact_hamiltonian_exponentials():
+    # each step of one realization is the coherent propagator of the field
+    # held on it, exp(-Hmat(h_j) dt_j), which fixes the precession rate to
+    # that of hamiltonian_matrix
+    model, b3, u, v0, seed = MC_MODELS[2], 1.0, 0.7, [0.3, 0.2, 0.1], 5
+    durations = _time_grid(0.005, 1.003)
+    fields = chunked_fields(model, durations, seed, [0])[0]
+    traj = mc_sample(model, b3, u, v0, 0.005, 1.003, seed)
+    for j, (beta, dt_j) in enumerate(zip(fields, durations)):
+        h = np.array([beta[0], 0.0, u * b3 + beta[1]])
+        step = expm(-hamiltonian_matrix(h) * dt_j) @ traj.states[j]
+        assert np.max(np.abs(traj.states[j + 1] - step)) < 1e-12, j
+
+
 def test_mc_validate_peak_memory():
     # the benchmark's bivariate model at 2000 samples x 1000 steps: the
-    # streamed sums hold one batch's noise draws, about 4 MB; holding a
-    # batch's whole (256, 1001, 3) state array and its square adds 12 MB
+    # lockstep ensemble holds 2000 live generators (about 1.6 MB), one
+    # noise chunk of draws (2 MB) and the arrays of one rotation chunk;
+    # holding the whole ensemble's draws instead would take 32 MB
     model = MC_MODELS[2]
     args = dict(b3=1.0, u=1.0, v0=[0.5, 0, 0], dt=0.005, seed=3)
     mc_validate(model, t_final=0.1, n_samples=100, **args)
@@ -376,6 +442,21 @@ def test_mc_validate_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def test_mc_validate_noise_memory_does_not_grow_with_steps():
+    # 100 samples x 1e4 steps: whole streams of draws would hold 16 MB
+    model = MC_MODELS[2]
+    args = dict(b3=1.0, u=1.0, v0=[0.5, 0, 0], dt=0.005, seed=3)
+    mc_validate(model, t_final=0.1, n_samples=100, **args)
+    tracemalloc.start()
+    try:
+        report = mc_validate(model, t_final=50.0, n_samples=100, **args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.times) == 10_001
+    assert peak < 4e6
 
 
 def test_hamiltonian_matches_literal_matrix():
