@@ -206,6 +206,11 @@ ROTATION_CHUNK = 4
 #: order of the sums fixes the last bits of the mean and standard error.
 SUM_BLOCK = 256
 
+#: Samples advanced together.  Larger ensembles run in consecutive groups
+#: of this many, a multiple of SUM_BLOCK, so the memory held is bounded
+#: whatever the number of samples.
+LOCKSTEP_SAMPLES = 8 * SUM_BLOCK
+
 
 def _chunks(n: int, size: int) -> list:
     """Consecutive (start, stop) ranges over n of at most ``size`` (>= 3) items.
@@ -351,14 +356,15 @@ def _state_chunks(model, b3, u, v0, durations, seed, sample_indices):
     yield chunk
 
 
-def _ensemble_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over the samples, the first axis of x: each block of SUM_BLOCK
-    samples is summed in sample order, then the block sums in block order."""
+def _add_block_sums(total: np.ndarray, x: np.ndarray) -> None:
+    """Add the samples of x, its first axis, into total: each block of
+    SUM_BLOCK samples is summed in sample order, then the block sums are
+    added to total one after another."""
     full = len(x) - len(x) % SUM_BLOCK
-    blocks = [x[:full].reshape(-1, SUM_BLOCK, *x.shape[1:]).sum(axis=1)]
+    terms = [total[None], x[:full].reshape(-1, SUM_BLOCK, *x.shape[1:]).sum(axis=1)]
     if full < len(x):
-        blocks.append(x[full:].sum(axis=0, keepdims=True))
-    return np.concatenate(blocks).sum(axis=0)
+        terms.append(x[full:].sum(axis=0, keepdims=True))
+    total[...] = np.concatenate(terms).sum(axis=0)
 
 
 def _check_mc_preconditions(model: CorrelationModel, dt: float):
@@ -422,10 +428,10 @@ def mc_validate(model: CorrelationModel, b3: float, u: float, v0: np.ndarray,
     generator, and reports componentwise deviations with their standard
     errors.
 
-    All realizations advance together, one time step at a time, their noise
-    drawn NOISE_CHUNK steps at a time, so the memory held grows with
-    ``n_samples`` and with the number of grid times (the report's arrays),
-    but not with their product.  Each time's states are summed over blocks
+    Up to LOCKSTEP_SAMPLES realizations advance together, one time step at
+    a time, their noise drawn NOISE_CHUNK steps at a time, so the memory
+    held grows with neither the number of samples nor that of steps, beside
+    the report's per-time arrays.  Each time's states are summed over blocks
     of SUM_BLOCK samples, and the block sums added in order.
 
     ``within_3se`` is a pointwise test: every (time, component) deviation,
@@ -445,12 +451,14 @@ def mc_validate(model: CorrelationModel, b3: float, u: float, v0: np.ndarray,
 
     total = np.zeros((len(times), 3))
     total_sq = np.zeros((len(times), 3))
-    j = 0
-    for chunk in _state_chunks(model, b3, u, v0, durations, seed, range(n_samples)):
-        rows = slice(j, j + chunk.shape[1])
-        total[rows] += _ensemble_sum(chunk)
-        total_sq[rows] += _ensemble_sum(chunk**2)
-        j = rows.stop
+    for first in range(0, n_samples, LOCKSTEP_SAMPLES):
+        group = range(first, min(first + LOCKSTEP_SAMPLES, n_samples))
+        j = 0
+        for chunk in _state_chunks(model, b3, u, v0, durations, seed, group):
+            rows = slice(j, j + chunk.shape[1])
+            _add_block_sums(total[rows], chunk)
+            _add_block_sums(total_sq[rows], chunk**2)
+            j = rows.stop
     mean = total / n_samples
     var = np.maximum(total_sq / n_samples - mean**2, 0.0) * n_samples / max(n_samples - 1, 1)
     se = np.sqrt(var / n_samples)

@@ -12,8 +12,9 @@ from spinaccess import (CorrelationModel, InvalidModelError, StepSizeError,
 from scipy.linalg import expm
 
 from spinaccess import hamiltonian_matrix
-from spinaccess.stochastic import (NOISE_CHUNK, ROTATION_CHUNK, _cov_sqrt, _field_chunks,
-                                   _state_chunks, _time_grid, hamiltonian_vector)
+from spinaccess.stochastic import (LOCKSTEP_SAMPLES, NOISE_CHUNK, ROTATION_CHUNK, _cov_sqrt,
+                                   _field_chunks, _state_chunks, _time_grid,
+                                   hamiltonian_vector)
 
 
 def quad_coefficients(w11, w13, w33, tau, b3):
@@ -383,9 +384,11 @@ def test_mc_stepping_matches_per_sample_reference(model):
 
 
 @pytest.mark.parametrize("model", MC_MODELS, ids=["white", "dephasing", "bivariate"])
-def test_mc_validate_matches_reference_over_a_partial_sum_block(model):
-    # 700 samples: two full sum blocks of 256 and a partial one of 188
-    assert_stepping_matches_reference(model, 0.005, 0.203, n_samples=700)
+@pytest.mark.parametrize("n_samples", [700, LOCKSTEP_SAMPLES + 300])
+def test_mc_validate_matches_reference_over_a_partial_sum_block(model, n_samples):
+    # 700 samples: two full sum blocks of 256 and a partial one of 188; the
+    # larger ensemble runs as a full lockstep group and a partial one
+    assert_stepping_matches_reference(model, 0.005, 0.203, n_samples=n_samples)
 
 
 @pytest.mark.parametrize("model", [MC_MODELS[0], MC_MODELS[2]], ids=["white", "bivariate"])
@@ -457,6 +460,21 @@ def test_mc_validate_noise_memory_does_not_grow_with_steps():
         tracemalloc.stop()
     assert len(report.times) == 10_001
     assert peak < 4e6
+
+
+def test_mc_validate_memory_does_not_grow_with_samples():
+    # 20,000 samples of 2 steps: advanced all at once, their generators
+    # and states would hold 46 MB
+    model = MC_MODELS[2]
+    args = dict(b3=1.0, u=1.0, v0=[0.5, 0, 0], dt=0.005, seed=3)
+    mc_validate(model, t_final=0.01, n_samples=100, **args)
+    tracemalloc.start()
+    try:
+        mc_validate(model, t_final=0.01, n_samples=20_000, **args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_hamiltonian_matches_literal_matrix():
