@@ -209,9 +209,8 @@ def cmd_evolve(args) -> int:
     h = _vector(data["h"], "h", 3)
     v0 = _vector(data["v0"], "v0", 3)
     segments = data["schedule"]
-    if not isinstance(segments, list):
-        raise InputError("field 'schedule' must be a list of [duration, u] pairs")
-    if not all(isinstance(s, list) and len(s) == 2 for s in segments):
+    if not (isinstance(segments, list)
+            and all(isinstance(s, list) and len(s) == 2 for s in segments)):
         raise InputError("field 'schedule' must be a list of [duration, u] pairs")
     try:
         sched = ControlSchedule([(_number(s[0], "schedule"), _number(s[1], "schedule"))

@@ -226,16 +226,19 @@ def _chunks(n: int, size: int) -> list:
 
 
 def _correlate(z: np.ndarray, root: np.ndarray) -> np.ndarray:
-    """z @ root.T for a (steps, samples, 2) block of standard normal draws.
+    """z @ root.T for a (samples, steps, 2) block of standard normal draws,
+    returned step-major, (steps, samples, 2).
 
     Every row is rounded as in one product per sample over its whole
     stream: products of two or more rows round each row alike, so the rows
     of all samples go through one product, while a lone row (a one-step
     stream) goes through numpy's vector path, sample by sample.
     """
-    if len(z) == 1:
-        return (z[0][:, None] @ root.T).reshape(z.shape)
-    return (z.reshape(-1, 2) @ root.T).reshape(z.shape)
+    if z.shape[1] == 1:
+        return (z @ root.T).transpose(1, 0, 2)
+    # the step-major copy moves each (sample, step) pair as one complex
+    pairs = np.ascontiguousarray(z.view(np.complex128).T).view(float)
+    return (pairs.reshape(-1, 2) @ root.T).reshape(z.shape[1], -1, 2)
 
 
 def _field_chunks(model: CorrelationModel, durations: np.ndarray,
@@ -273,11 +276,7 @@ def _field_chunks(model: CorrelationModel, durations: np.ndarray,
             rng.standard_normal(out=z[row])
         for lo, hi in _chunks(stop - start, ROTATION_CHUNK):
             first = start + lo
-            # step-major copy, one (re, im) pair per (sample, step) moved at once
-            pairs = np.ascontiguousarray(z[:, lo:hi].view(np.complex128).T)
-            fields = _correlate(pairs.view(float).reshape(hi - lo, -1, 2), root)
-            del pairs
-            fields = fields[:n_steps - first]
+            fields = _correlate(z[:, lo:hi], root)[:n_steps - first]
             if white:
                 fields *= scale[first:first + len(fields), None, None]
             else:
@@ -301,11 +300,8 @@ def _precession(fields: np.ndarray, durations: np.ndarray, b3: float, u: float):
     axis[:, 0] = fields[..., 0]
     axis[:, 2] = u * b3 + fields[..., 1]
     axis *= HMAT_FACTOR
-    # |omega|, its squares summed in the order of np.linalg.norm
-    speed = axis[:, 0] * axis[:, 0]
-    speed += axis[:, 1] * axis[:, 1]
-    speed += axis[:, 2] * axis[:, 2]
-    speed = np.sqrt(speed)[:, None]
+    # |omega| as np.linalg.norm sums it; the y component is zero
+    speed = np.sqrt(axis[:, 0] ** 2 + axis[:, 2] ** 2)[:, None]
     small = speed < 1e-300
     axis /= np.where(small, 1.0, speed)
     np.copyto(axis, 0.0, where=small)
