@@ -195,21 +195,21 @@ def _time_grid(dt: float, t_final: float, n_samples: int = 1) -> np.ndarray:
 
 #: Steps of noise drawn per call of a sample's generator.  A call costs
 #: about 2.4 us on a 2-core host; the draws held take 16 bytes per sample
-#: and step (2 MB for 2000 samples), beside the 2000 generators' 1.9 MB.
+#: and step, beside about 1 kB per sample for its generator.
 NOISE_CHUNK = 64
 
 #: Steps whose rotation axes and angles are computed in one pass; about
 #: 170 bytes per sample and step are held while they are applied.
-ROTATION_CHUNK = 4
+ROTATION_CHUNK = 8
 
 #: Samples summed as one block before the blocks are added in order; the
 #: order of the sums fixes the last bits of the mean and standard error.
 SUM_BLOCK = 256
 
-#: Samples advanced together.  Larger ensembles run in consecutive groups
-#: of this many, a multiple of SUM_BLOCK, so the memory held is bounded
-#: whatever the number of samples.
-LOCKSTEP_SAMPLES = 8 * SUM_BLOCK
+#: Samples advanced together, a multiple of SUM_BLOCK; larger ensembles run
+#: in consecutive groups.  A group holds about 3 MB, and the README's 2000
+#: samples ran no slower in two groups than in one.
+LOCKSTEP_SAMPLES = 4 * SUM_BLOCK
 
 
 def _chunks(n: int, size: int) -> list:

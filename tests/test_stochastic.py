@@ -431,10 +431,10 @@ def test_mc_steps_are_exact_hamiltonian_exponentials():
 
 
 def test_mc_validate_peak_memory():
-    # the benchmark's bivariate model at 2000 samples x 1000 steps: the
-    # lockstep ensemble holds 2000 live generators (about 1.6 MB), one
-    # noise chunk of draws (2 MB) and the arrays of one rotation chunk;
-    # holding the whole ensemble's draws instead would take 32 MB
+    # the benchmark's bivariate model at 2000 samples x 1000 steps: each
+    # lockstep group of samples holds its generators, one noise chunk of
+    # draws and the arrays of one rotation chunk, about 3 MB; holding the
+    # whole ensemble's draws instead would take 32 MB
     model = MC_MODELS[2]
     args = dict(b3=1.0, u=1.0, v0=[0.5, 0, 0], dt=0.005, seed=3)
     mc_validate(model, t_final=0.1, n_samples=100, **args)
