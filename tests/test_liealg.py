@@ -310,8 +310,8 @@ def test_infeasible_coordinates_rejected():
 
 def test_infeasible_coordinates_rejected_at_every_scale():
     # the member E11 - 1e-3 E22 is indefinite under both cones; at
-    # coordinate 1e-7 its lambda_min, -1e-10, once passed the absolute
-    # tolerance and the closures were computed (dim_cp 4)
+    # coordinate 1e-7 its lambda_min is -1e-10, above -FEAS_TOL, so only a
+    # threshold relative to its norm refuses it there
     v = ParamSubspace.from_vec6([[1, -1e-3, 0, 0, 0, 0], [1, 1, 1, 0, 0, 0]])
     for s in (1e-7, 1.0):
         with pytest.raises(InfeasibleParametersError, match="complete positivity"):

@@ -3,15 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 from spinaccess import (CorrelationModel, InvalidModelError, StepSizeError,
                         build_spin_generator, coefficients, cp_admissible,
-                        family_lie_dimension, lie_closure, mc_sample,
-                        mc_validate, positivity_admissible, propagate,
+                        family_lie_dimension, hamiltonian_matrix, lie_closure,
+                        mc_sample, mc_validate, positivity_admissible, propagate,
                         sz_derivatives)
-from scipy.linalg import expm
-
-from spinaccess import hamiltonian_matrix
 from spinaccess.stochastic import (LOCKSTEP_SAMPLES, NOISE_CHUNK, ROTATION_CHUNK, _cov_sqrt,
                                    _field_chunks, _state_chunks, _time_grid,
                                    hamiltonian_vector)
