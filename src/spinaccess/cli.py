@@ -22,7 +22,7 @@ from .errors import SpinAccessError
 from .generator import dissipation_from_kossakowski, sym_to_vec6, vec6_to_sym
 from .liealg import compare_accessibility
 from .reproduce import run_reproduction
-from .stochastic import (CorrelationModel, build_spin_generator, coefficients,
+from .stochastic import (FAMILIES, CorrelationModel, build_spin_generator, coefficients,
                          cp_admissible, mc_validate, positivity_admissible)
 
 EXIT_OK = 0
@@ -236,8 +236,11 @@ _MODEL_KEYS = {"family", "w11", "w13", "w33", "tau"}
 def _model_from(data) -> CorrelationModel:
     if "family" not in data:
         raise InputError("missing key 'family' in input")
+    family = data["family"]
+    if not (isinstance(family, str) and family in FAMILIES):
+        raise InputError(f"field 'family' must be one of {FAMILIES}, got {family!r}")
     return CorrelationModel(
-        family=data["family"],
+        family=family,
         **{key: _number(data.get(key, 0.0), key) for key in ("w11", "w13", "w33", "tau")},
     )
 

@@ -27,17 +27,20 @@ from .generator import (HMAT_FACTOR, dissipation_from_kossakowski, hamiltonian_m
                         vec6_to_sym)
 from .liealg import lie_closure, switching_generators
 
-_FAMILIES = ("zero", "white", "exponential")
+#: Names of the correlation families.
+FAMILIES = ("zero", "white", "exponential")
 
 #: PSD tolerance for the (beta_1, beta_3) covariance block.
 _COV_TOL = 1e-12
 
 #: Most realizations times steps one Monte Carlo run may take, five times
-#: the 2000 x 1000 README run.  At the bound, a CLI ``montecarlo`` of 100
-#: samples of 1e5 steps, white or exponential, peaked at 82 MB resident
-#: (58 MB for 100 steps; the rest is the report's per-time arrays) and took
-#: 8-10 s on a 2-core host, most of it in the 1e5 ``expm`` calls of the
-#: Markov reference.
+#: the 2000 x 1000 README run.  Each realization is charged at least
+#: NOISE_CHUNK steps, the noise it draws however few steps it takes.  At the
+#: bound, on a 2-core host, a CLI ``montecarlo`` of 100 samples of 1e5
+#: steps, white or exponential, took 5 s, most of it in the per-step
+#: rotation, and peaked at 60 MB resident (37 MB for 100 steps; the rest is
+#: the report's per-time arrays); 156,250 samples of one step took 2.9-3.3 s
+#: and peaked at 39 MB.
 MAX_SAMPLE_STEPS = 10_000_000
 
 
@@ -58,9 +61,9 @@ class CorrelationModel:
     tau: float = 0.0
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in FAMILIES:
             raise InvalidModelError(
-                f"family must be one of {_FAMILIES}, got {self.family!r}")
+                f"family must be one of {FAMILIES}, got {self.family!r}")
         cov = self.covariance
         if np.linalg.eigvalsh(cov)[0] < -_COV_TOL * max(1.0, np.abs(cov).max()):
             raise InvalidModelError(
@@ -178,13 +181,15 @@ def _time_grid(dt: float, t_final: float, n_samples: int = 1) -> np.ndarray:
     """Step durations covering [0, t_final] with a shortened final step.
 
     Raises ValueError, before allocating, when ``n_samples`` realizations
-    on the grid would exceed MAX_SAMPLE_STEPS.
+    on the grid, each charged at least NOISE_CHUNK steps, would exceed
+    MAX_SAMPLE_STEPS.
     """
     if not (dt > 0 and t_final > 0):
         raise ValueError("dt and t_final must be positive")
-    if n_samples * (t_final / dt) > MAX_SAMPLE_STEPS:
-        raise ValueError(f"{n_samples} samples of {t_final / dt:.3g} steps exceed "
-                         f"{MAX_SAMPLE_STEPS} sample-steps")
+    if n_samples * max(t_final / dt, NOISE_CHUNK) > MAX_SAMPLE_STEPS:
+        raise ValueError(f"{n_samples} samples of {t_final / dt:.3g} steps, each "
+                         f"charged at least {NOISE_CHUNK}, exceed {MAX_SAMPLE_STEPS} "
+                         f"sample-steps")
     n_full = int(np.floor(t_final / dt + 1e-12))
     durations = [dt] * n_full
     rest = t_final - n_full * dt
@@ -460,10 +465,7 @@ def mc_validate(model: CorrelationModel, b3: float, u: float, v0: np.ndarray,
     se = np.sqrt(var / n_samples)
 
     h, d = build_spin_generator(coefficients(model, b3), u)
-    gen = -(h + d)
-    markov = np.empty((len(times), 3))
-    for k, t in enumerate(times):
-        markov[k] = propagate(gen, v0, t)
+    markov = propagate(-(h + d), v0, times)
 
     dev = np.abs(mean - markov)
     ratio = dev / np.maximum(se, 1e-15)

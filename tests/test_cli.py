@@ -217,6 +217,29 @@ def test_spin_field_exponential(tmp_path):
     assert abs(data["coefficients"]["c11"] - 0.5) < 1e-12
 
 
+@pytest.mark.parametrize("command", ["spin-field", "montecarlo"])
+@pytest.mark.parametrize("family", [3, ["white"], {"a": 1}, "pink", None])
+def test_family_outside_the_three_names_is_input_error(tmp_path, capsys, command, family):
+    inp = tmp_path / "in.json"
+    data = {"family": family, "w11": 0.2, "b3": 1.0}
+    if command == "montecarlo":
+        data.update(v0=[0.5, 0, 0], dt=0.01, t_final=1.0, n_samples=100)
+    write_json(inp, data)
+    assert run([command, "--input", inp, "--output", tmp_path / "out.json"]) == 1
+    assert "field 'family'" in capsys.readouterr().err
+
+
+def test_montecarlo_charges_each_sample_a_noise_chunk(tmp_path, capsys):
+    # 200,000 one-step samples: 2e5 sample-steps, but 1.28e7 as charged
+    inp = tmp_path / "in.json"
+    write_json(inp, {"family": "white", "w11": 0.2, "b3": 1.0, "v0": [0.5, 0, 0],
+                     "dt": 0.01, "t_final": 0.01, "n_samples": 200_000})
+    start = time.perf_counter()
+    assert run(["montecarlo", "--input", inp]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "sample-steps" in capsys.readouterr().err
+
+
 def test_montecarlo_zero_samples_is_input_error(tmp_path):
     inp = tmp_path / "in.json"
     write_json(inp, {"family": "white", "w11": 0.2, "b3": 1.0, "v0": [0.5, 0, 0],

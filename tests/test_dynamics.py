@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,7 +8,7 @@ from spinaccess import (ControlSchedule, Trajectory, UnphysicalStateError,
                         dissipation_from_kossakowski, evolve_schedule,
                         hamiltonian_matrix, is_physical, lindblad_superop,
                         propagate, sz_derivatives)
-from spinaccess.dynamics import VIOLATION_TOL
+from spinaccess.dynamics import PROPAGATE_BLOCK, VIOLATION_TOL, expm
 
 
 def rk4_propagate(l, v0, t, steps=20000):
@@ -101,7 +102,7 @@ def test_semigroup_property_across_segments():
 
 
 def test_final_state_is_product_of_segment_exponentials():
-    from scipy.linalg import expm
+    from scipy.linalg import expm as scipy_expm
 
     rng = np.random.default_rng(23)
     h = rng.standard_normal(3)
@@ -111,7 +112,7 @@ def test_final_state_is_product_of_segment_exponentials():
     traj = evolve_schedule(h, d, ControlSchedule(segs), v0, dt=0.037)
     v = v0.copy()
     for duration, u in segs:
-        v = expm(lindblad_superop(h, d, u) * duration) @ v
+        v = scipy_expm(lindblad_superop(h, d, u) * duration) @ v
     assert np.max(np.abs(traj.final_state - v)) < 1e-10
 
 
@@ -214,10 +215,88 @@ def test_sz_derivative_sign_matches_finite_difference():
     assert abs(d1 - fd) < 1e-5
 
 
-def reference_evolve_schedule(h, d, sched, v0, dt):
-    """The list-appending loop evolve_schedule replaced, kept as its reference."""
-    from scipy.linalg import expm
+def random_generators(rng, n):
+    """-(Hmat(h) + D) t with |L t|_1 log-uniform over 1e-6..100."""
+    out = []
+    for _ in range(n):
+        l = -(hamiltonian_matrix(rng.standard_normal(3) * 10 ** rng.uniform(-2, 2))
+              + random_psd_dissipation(rng) * 10 ** rng.uniform(-2, 2))
+        out.append(l * 10 ** rng.uniform(-6, 2) / np.abs(l).sum(axis=0).max())
+    return np.array(out)
 
+
+def test_expm_accuracy_against_mpmath_oracle():
+    from scipy.linalg import expm as scipy_expm
+
+    def norm1(m):
+        return max(sum(abs(m[i, j]) for i in range(3)) for j in range(3))
+
+    def rel_err(x, exact):
+        return float(norm1(mpmath.matrix(x.tolist()) - exact) / norm1(exact))
+
+    gens = random_generators(np.random.default_rng(29), 300)
+    ours, theirs = [], []
+    with mpmath.workdps(40):
+        for l, x in zip(gens, expm(gens)):
+            exact = mpmath.expm(mpmath.matrix(l.tolist()))
+            ours.append(rel_err(x, exact))
+            theirs.append(rel_err(scipy_expm(l), exact))
+    assert max(ours) <= max(theirs)
+    assert np.median(ours) <= 2.0 * np.median(theirs)
+
+
+def test_expm_of_zero_is_identity():
+    assert np.array_equal(expm(np.zeros((3, 3))), np.eye(3))
+    assert np.array_equal(expm(np.zeros((4, 3, 3))), np.broadcast_to(np.eye(3), (4, 3, 3)))
+
+
+def test_expm_of_rotation_matches_rodrigues():
+    rng = np.random.default_rng(30)
+    for _ in range(100):
+        w = hamiltonian_matrix(rng.standard_normal(3)) * 10 ** rng.uniform(-6, 1)
+        angle = np.sqrt(np.sum(w * w) / 2.0)
+        k = w / angle
+        rodrigues = np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+        assert np.max(np.abs(expm(w) - rodrigues)) < 1e-14
+
+
+def test_expm_of_nilpotent_is_its_finite_series():
+    # 1-norms up to 5, where no squaring is needed; squaring a large nilpotent
+    # matrix costs digits, since the scaling reads |N|_1, not the powers of N
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        n = np.triu(rng.standard_normal((3, 3)), 1)
+        n *= 10 ** rng.uniform(-3, np.log10(5.0)) / np.abs(n).sum()
+        for m in (n, n.T):
+            series = np.eye(3) + m + m @ m / 2.0
+            assert np.max(np.abs(expm(m) - series)) <= 1e-15 * np.abs(series).max()
+
+
+def test_stacked_expm_and_propagate_equal_single_calls_bitwise():
+    rng = np.random.default_rng(32)
+    gens = random_generators(rng, 2 * PROPAGATE_BLOCK + 3)
+    stacked = expm(gens)
+    assert all(np.array_equal(stacked[k], expm(g)) for k, g in enumerate(gens))
+    assert np.array_equal(expm(gens[:2 * PROPAGATE_BLOCK].reshape(8, -1, 3, 3)),
+                          stacked[:2 * PROPAGATE_BLOCK].reshape(8, -1, 3, 3))
+    l, v0 = gens[0] / np.abs(gens[0]).max(), [0.3, -0.1, 0.2]
+    times = np.sort(rng.uniform(0.0, 50.0, 2 * PROPAGATE_BLOCK + 3))
+    states = propagate(l, v0, times)
+    assert states.shape == (len(times), 3)
+    assert all(np.array_equal(states[k], propagate(l, v0, t)) for k, t in enumerate(times))
+
+
+def test_propagate_rejects_negative_times():
+    with pytest.raises(ValueError, match="-0.5"):
+        propagate(np.eye(3), [0.1, 0, 0], [0.0, 1.0, -0.5])
+
+
+def reference_evolve_schedule(h, d, sched, v0, dt):
+    """The list-appending loop evolve_schedule replaced, kept as its reference.
+
+    It takes the package's ``expm``: the comparison checks the loop, and the
+    exponential is checked on its own above.
+    """
     v0 = np.asarray(v0, dtype=float)
     times = [0.0]
     states = [v0.copy()]

@@ -6,8 +6,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# the package runs ``scipy.linalg.expm`` only to propagate (``evolve``,
-# ``montecarlo``, ``reproduce``), so nothing else may pay for loading scipy
+# scipy is a test dependency only: no command may load it
 PRINT_SCIPY = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
 
 
@@ -25,19 +24,27 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert run_fresh(f"import sys, spinaccess.cli; {PRINT_SCIPY}") == "[]"
 
 
-def test_commands_without_propagation_leave_scipy_unloaded(tmp_path):
+def test_commands_leave_scipy_unloaded(tmp_path):
     inputs = {
         "classify": {"basis": [[1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0],
                                [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]]},
         "lie": {"basis": [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1]],
                 "h": [0, 0, 1.0], "theta_p": [1, 1, 0.7], "theta_cp": [1, 1, 0]},
+        "evolve": {"c": [1, 1, 1, 0, 0, 0], "h": [0, 0, 1], "v0": [0.5, 0, 0],
+                   "schedule": [[1.0, 1.0], [0.5, 0.0]], "dt": 0.01},
         "spin-field": {"family": "exponential", "w11": 1.0, "w13": 0.3, "w33": 1.0,
                        "tau": 0.5, "b3": 1.0},
+        "montecarlo": {"family": "exponential", "w11": 1.0, "w13": 0.3, "w33": 1.0,
+                       "tau": 0.1, "b3": 1.0, "v0": [0.5, 0, 0], "dt": 0.005,
+                       "t_final": 0.5, "n_samples": 100},
+        "reproduce": None,
     }
     for command, data in inputs.items():
-        inp = tmp_path / f"{command}.json"
-        inp.write_text(json.dumps(data))
-        argv = [command, "--input", str(inp), "--output", str(tmp_path / f"{command}.out")]
+        argv = [command, "--output", str(tmp_path / f"{command}.out")]
+        if data is not None:
+            inp = tmp_path / f"{command}.json"
+            inp.write_text(json.dumps(data))
+            argv += ["--input", str(inp)]
         code = (f"import sys; from spinaccess.cli import main; "
                 f"code = main({argv!r}); {PRINT_SCIPY}; print(code)")
         loaded, exit_code = run_fresh(code).splitlines()

@@ -10,9 +10,9 @@ from spinaccess import (CorrelationModel, InvalidModelError, StepSizeError,
                         family_lie_dimension, hamiltonian_matrix, lie_closure,
                         mc_sample, mc_validate, positivity_admissible, propagate,
                         sz_derivatives)
-from spinaccess.stochastic import (LOCKSTEP_SAMPLES, NOISE_CHUNK, ROTATION_CHUNK, _cov_sqrt,
-                                   _field_chunks, _state_chunks, _time_grid,
-                                   hamiltonian_vector)
+from spinaccess.stochastic import (LOCKSTEP_SAMPLES, MAX_SAMPLE_STEPS, NOISE_CHUNK,
+                                   ROTATION_CHUNK, _cov_sqrt, _field_chunks,
+                                   _state_chunks, _time_grid, hamiltonian_vector)
 
 
 def quad_coefficients(w11, w13, w33, tau, b3):
@@ -236,6 +236,19 @@ def test_mc_validate_requires_samples():
     with pytest.raises(ValueError):
         mc_validate(CorrelationModel("white", w11=0.1), 1.0, 1.0, [0.5, 0, 0],
                     0.01, 1.0, n_samples=99, seed=0)
+
+
+def test_mc_budget_charges_each_sample_a_noise_chunk():
+    model = CorrelationModel("white", w11=0.1)
+    # 200,000 one-step samples draw 200,000 noise chunks: 1.28e7 as charged
+    with pytest.raises(ValueError, match="sample-steps"):
+        mc_validate(model, 1.0, 1.0, [0.5, 0, 0], 0.01, 0.01, n_samples=200_000, seed=0)
+    with pytest.raises(ValueError, match="sample-steps"):
+        _time_grid(0.01, 0.01, n_samples=10**7)
+    # the README run, the benchmark's runs and 100 samples of 1e5 steps
+    for dt, t_final, n_samples in ((0.005, 5.0, 2000), (1e-5, 1.0, 100),
+                                   (0.01, 0.01, MAX_SAMPLE_STEPS // NOISE_CHUNK)):
+        _time_grid(dt, t_final, n_samples)
 
 
 def test_mc_white_noise_matches_markov_generator():
