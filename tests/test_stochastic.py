@@ -245,7 +245,8 @@ def test_mc_budget_charges_each_sample_a_noise_chunk():
         mc_validate(model, 1.0, 1.0, [0.5, 0, 0], 0.01, 0.01, n_samples=200_000, seed=0)
     with pytest.raises(ValueError, match="sample-steps"):
         _time_grid(0.01, 0.01, n_samples=10**7)
-    # the README run, the benchmark's runs and 100 samples of 1e5 steps
+    # the README and benchmark runs (2000 x 1000), 100 samples of 1e5 steps
+    # and the most one-step samples admitted
     for dt, t_final, n_samples in ((0.005, 5.0, 2000), (1e-5, 1.0, 100),
                                    (0.01, 0.01, MAX_SAMPLE_STEPS // NOISE_CHUNK)):
         _time_grid(dt, t_final, n_samples)
