@@ -25,7 +25,7 @@ from .dynamics import Trajectory, propagate
 from .errors import InvalidModelError, StepSizeError
 from .generator import (HMAT_FACTOR, dissipation_from_kossakowski, hamiltonian_matrix,
                         vec6_to_sym)
-from .liealg import lie_closure, switching_generators
+from .liealg import lie_closure
 
 #: Names of the correlation families.
 FAMILIES = ("zero", "white", "exponential")
@@ -207,43 +207,10 @@ NOISE_CHUNK = 64
 #: 170 bytes per sample and step are held while they are applied.
 ROTATION_CHUNK = 8
 
-#: Samples summed as one block before the blocks are added in order; the
-#: order of the sums fixes the last bits of the mean and standard error.
-SUM_BLOCK = 256
-
-#: Samples advanced together, a multiple of SUM_BLOCK; larger ensembles run
-#: in consecutive groups.  A group holds about 3 MB, and the README's 2000
-#: samples ran no slower in two groups than in one.
-LOCKSTEP_SAMPLES = 4 * SUM_BLOCK
-
-
-def _chunks(n: int, size: int) -> list:
-    """Consecutive (start, stop) ranges over n of at most ``size`` (>= 3) items.
-
-    A lone last item is moved into a chunk with the one before it: the
-    draws pass through a matrix product, which rounds a lone row
-    differently from a row of a longer block.
-    """
-    bounds = list(range(0, n, size)) + [n]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        bounds[-2] -= 1
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
-def _correlate(z: np.ndarray, root: np.ndarray) -> np.ndarray:
-    """z @ root.T for a (samples, steps, 2) block of standard normal draws,
-    returned step-major, (steps, samples, 2).
-
-    Every row is rounded as in one product per sample over its whole
-    stream: products of two or more rows round each row alike, so the rows
-    of all samples go through one product, while a lone row (a one-step
-    stream) goes through numpy's vector path, sample by sample.
-    """
-    if z.shape[1] == 1:
-        return (z @ root.T).transpose(1, 0, 2)
-    # the step-major copy moves each (sample, step) pair as one complex
-    pairs = np.ascontiguousarray(z.view(np.complex128).T).view(float)
-    return (pairs.reshape(-1, 2) @ root.T).reshape(z.shape[1], -1, 2)
+#: Samples advanced together; larger ensembles run in consecutive groups.
+#: A group holds about 3 MB, and the README's 2000 samples ran no slower in
+#: two groups than in one.
+LOCKSTEP_SAMPLES = 1024
 
 
 def _field_chunks(model: CorrelationModel, durations: np.ndarray,
@@ -253,35 +220,37 @@ def _field_chunks(model: CorrelationModel, durations: np.ndarray,
     Each sample k draws from an independent stream seeded by (seed, k), so
     ensemble runs are reproducible and any single member can be regenerated
     in isolation.  Every stream is drawn NOISE_CHUNK steps at a time, so the
-    noise held does not grow with the number of steps, and the values equal
-    those of one whole draw per stream bit for bit.
+    noise held does not grow with the number of steps, and the draws equal
+    those of one whole draw per stream.  The draws of all samples go
+    through one product with the covariance root per chunk of steps, which
+    rounds each row alike whatever the number of samples; only a lone row,
+    one sample's single step, goes through numpy's vector product, which
+    may round it differently in the last bit.
     """
     n_steps = len(durations)
-    if not n_steps:
-        return
     root = _cov_sqrt(model.covariance)
     rngs = [np.random.default_rng([seed, k]) for k in sample_indices]
     white = model.family == "white"
     if white:
-        # one independent draw per step
-        n_draws = n_steps
         scale = 1.0 / np.sqrt(durations)
     else:
         # stationary bivariate Ornstein-Uhlenbeck chain with exact one-step
         # conditional updates (Gillespie 1996), the field held at the
         # step-start value: draw 0 is the stationary initial value, draw j
-        # the innovation into step j, and one last draw is never used
-        n_draws = n_steps + 1
+        # the innovation into step j
         phi = np.exp(-durations / model.tau)
         innov = np.sqrt(1.0 - phi**2)
     draws = np.empty((len(rngs), NOISE_CHUNK, 2))
-    for start, stop in _chunks(n_draws, NOISE_CHUNK):
-        z = draws[:, :stop - start]
+    for start in range(0, n_steps, NOISE_CHUNK):
+        z = draws[:, :n_steps - start]
         for row, rng in enumerate(rngs):
             rng.standard_normal(out=z[row])
-        for lo, hi in _chunks(stop - start, ROTATION_CHUNK):
+        for lo in range(0, z.shape[1], ROTATION_CHUNK):
             first = start + lo
-            fields = _correlate(z[:, lo:hi], root)[:n_steps - first]
+            block = z[:, lo:lo + ROTATION_CHUNK]
+            # the step-major copy moves each (sample, step) pair as one complex
+            pairs = np.ascontiguousarray(block.view(np.complex128).T).view(float)
+            fields = (pairs.reshape(-1, 2) @ root.T).reshape(block.shape[1], -1, 2)
             if white:
                 fields *= scale[first:first + len(fields), None, None]
             else:
@@ -305,7 +274,6 @@ def _precession(fields: np.ndarray, durations: np.ndarray, b3: float, u: float):
     axis[:, 0] = fields[..., 0]
     axis[:, 2] = u * b3 + fields[..., 1]
     axis *= HMAT_FACTOR
-    # |omega| as np.linalg.norm sums it; the y component is zero
     speed = np.sqrt(axis[:, 0] ** 2 + axis[:, 2] ** 2)[:, None]
     small = speed < 1e-300
     axis /= np.where(small, 1.0, speed)
@@ -317,7 +285,7 @@ def _precession(fields: np.ndarray, durations: np.ndarray, b3: float, u: float):
 
 def _advance(states: np.ndarray, fields: np.ndarray, durations: np.ndarray,
              b3: float, u: float) -> np.ndarray:
-    """States after each step of a chunk, (samples, steps, 3), from states (3, samples).
+    """States after each step of a chunk, (steps, 3, samples), from states (3, samples).
 
     All samples advance together, one step at a time, by the Rodrigues
     formula v cos + (a x v) sin + a (a . v)(1 - cos).
@@ -328,44 +296,26 @@ def _advance(states: np.ndarray, fields: np.ndarray, durations: np.ndarray,
         cross = a[[1, 2, 0]] * states[[2, 0, 1]]
         cross -= a[[2, 0, 1]] * states[[1, 2, 0]]
         cross *= s
-        # a . v summed as np.einsum("ij,ij->i") sums it, +0 first
-        prod = a * states
-        dot = prod[0] + prod[2]
-        dot += prod[1]
-        dot += 0.0
         np.multiply(states, c, out=new)
         new += cross
-        new += a * dot * o
+        new += a * (a * states).sum(axis=0) * o
         states = new
-    return np.ascontiguousarray(out.transpose(2, 0, 1))
+    return out
 
 
 def _state_chunks(model, b3, u, v0, durations, seed, sample_indices):
-    """Yield the states at consecutive chunks of grid times, (samples, times, 3).
+    """Yield the states at consecutive chunks of grid times, (times, 3, samples).
 
     The first chunk is v0 alone.
     """
-    n = len(sample_indices)
     v0 = np.asarray(v0, dtype=float)
-    chunk = np.tile(v0, (n, 1, 1))
+    chunk = np.repeat(v0[None, :, None], len(sample_indices), axis=2)
     step = 0
     for fields in _field_chunks(model, durations, seed, sample_indices):
         yield chunk
-        states = np.ascontiguousarray(chunk[:, -1].T)
-        chunk = _advance(states, fields, durations[step:step + len(fields)], b3, u)
+        chunk = _advance(chunk[-1], fields, durations[step:step + len(fields)], b3, u)
         step += len(fields)
     yield chunk
-
-
-def _add_block_sums(total: np.ndarray, x: np.ndarray) -> None:
-    """Add the samples of x, its first axis, into total: each block of
-    SUM_BLOCK samples is summed in sample order, then the block sums are
-    added to total one after another."""
-    full = len(x) - len(x) % SUM_BLOCK
-    terms = [total[None], x[:full].reshape(-1, SUM_BLOCK, *x.shape[1:]).sum(axis=1)]
-    if full < len(x):
-        terms.append(x[full:].sum(axis=0, keepdims=True))
-    total[...] = np.concatenate(terms).sum(axis=0)
 
 
 def _check_mc_preconditions(model: CorrelationModel, dt: float):
@@ -393,7 +343,7 @@ def mc_sample(model: CorrelationModel, b3: float, u: float, v0: np.ndarray,
     """
     _check_mc_preconditions(model, dt)
     durations = _time_grid(dt, t_final)
-    states = np.concatenate([chunk[0] for chunk in
+    states = np.concatenate([chunk[..., 0] for chunk in
                              _state_chunks(model, b3, u, v0, durations, seed, [0])])
     times = np.concatenate([[0.0], np.cumsum(durations)])
     return Trajectory(
@@ -432,8 +382,11 @@ def mc_validate(model: CorrelationModel, b3: float, u: float, v0: np.ndarray,
     Up to LOCKSTEP_SAMPLES realizations advance together, one time step at
     a time, their noise drawn NOISE_CHUNK steps at a time, so the memory
     held grows with neither the number of samples nor that of steps, beside
-    the report's per-time arrays.  Each time's states are summed over blocks
-    of SUM_BLOCK samples, and the block sums added in order.
+    the report's per-time arrays.  Each group's mean and centred sum of
+    squares at each time are merged in order into the running ones (Chan,
+    Golub & LeVeque, Amer. Statist. 37, 1983), so the standard error does
+    not lose digits to cancellation when the spread is small against the
+    mean.
 
     ``within_3se`` is a pointwise test: every (time, component) deviation,
     about 3000 of them on a 1000-step grid, must lie within 3 standard
@@ -450,19 +403,22 @@ def mc_validate(model: CorrelationModel, b3: float, u: float, v0: np.ndarray,
     durations = _time_grid(dt, t_final, n_samples)
     times = np.concatenate([[0.0], np.cumsum(durations)])
 
-    total = np.zeros((len(times), 3))
-    total_sq = np.zeros((len(times), 3))
+    mean = np.zeros((len(times), 3))
+    m2 = np.zeros((len(times), 3))
     for first in range(0, n_samples, LOCKSTEP_SAMPLES):
         group = range(first, min(first + LOCKSTEP_SAMPLES, n_samples))
+        n = first + len(group)
         j = 0
         for chunk in _state_chunks(model, b3, u, v0, durations, seed, group):
-            rows = slice(j, j + chunk.shape[1])
-            _add_block_sums(total[rows], chunk)
-            _add_block_sums(total_sq[rows], chunk**2)
+            rows = slice(j, j + len(chunk))
+            group_mean = chunk.mean(axis=2)
+            centred = chunk - group_mean[..., None]
+            delta = group_mean - mean[rows]
+            mean[rows] += delta * (len(group) / n)
+            m2[rows] += np.einsum("ijk,ijk->ij", centred, centred)
+            m2[rows] += delta**2 * (first * len(group) / n)
             j = rows.stop
-    mean = total / n_samples
-    var = np.maximum(total_sq / n_samples - mean**2, 0.0) * n_samples / max(n_samples - 1, 1)
-    se = np.sqrt(var / n_samples)
+    se = np.sqrt(m2 / (n_samples - 1) / n_samples)
 
     h, d = build_spin_generator(coefficients(model, b3), u)
     markov = propagate(-(h + d), v0, times)
@@ -486,45 +442,41 @@ def mc_validate(model: CorrelationModel, b3: float, u: float, v0: np.ndarray,
 # accessibility of a correlation family as a whole
 # ---------------------------------------------------------------------------
 
-def _family_draws(model: CorrelationModel, seed: int = 0) -> list:
-    """The model and one model sharing its zero pattern with generic amplitudes.
+def family_lie_generators(model: CorrelationModel, b3: float, u: float = 1.0) -> list:
+    """Generators spanning the switched generators of every member of the family.
 
-    The draw rescales each nonvanishing amplitude independently (and the
-    correlation time, when present) while preserving covariance validity.
-    Used to probe claims about a correlation family whose amplitudes are
-    unknown phenomenological parameters rather than a single calibrated
-    point.
+    The family is every model with the zero pattern of ``model``'s
+    amplitudes, at any correlation time for the exponential family.  At
+    fixed tau, D and the noise part of h are linear in (w11, w13, w33), so
+    the unit-amplitude models the pattern allows span them, beside the
+    control field Hmat(u b3 z).  In tau the coefficients are rational with
+    the common denominator 1 + (2 b3 tau)^2 and numerators of degree at
+    most 3, so four distinct correlation times reach their whole span.
+    Nothing is drawn.
     """
-    rng = np.random.default_rng(seed)
-    s1, s3 = rng.uniform(1.2, 2.5, size=2)
-    r = rng.uniform(0.5, 0.95)
-    tau = model.tau * rng.uniform(0.7, 1.4) if model.family == "exponential" else model.tau
-    return [model, CorrelationModel(model.family, w11=model.w11 * s1,
-                                    w13=model.w13 * np.sqrt(s1 * s3) * r,
-                                    w33=model.w33 * s3, tau=tau)]
-
-
-def family_lie_generators(model: CorrelationModel, b3: float, u: float = 1.0,
-                          seed: int = 0) -> list:
-    """Switched generator pairs pooled over generic draws of the family."""
-    gens = []
-    for draw in _family_draws(model, seed=seed):
-        coeffs = coefficients(draw, b3)
-        _, d = build_spin_generator(coeffs, u)
-        gens.extend(switching_generators(hamiltonian_vector(coeffs, u), d))
+    units = (({"w11": 1.0}, model.w11), ({"w33": 1.0}, model.w33),
+             ({"w11": 1.0, "w13": 1.0, "w33": 1.0}, model.w13))
+    taus = [model.tau]
+    if model.family == "exponential":
+        taus = [model.tau * f for f in (1.0, 0.7, 1.2, 1.4)]
+    gens = [hamiltonian_matrix([0.0, 0.0, u * b3])]
+    for tau in taus:
+        for amps, present in units:
+            if present:
+                coeffs = coefficients(CorrelationModel(model.family, tau=tau, **amps), b3)
+                gens.extend(build_spin_generator(coeffs, u=0.0))
     return gens
 
 
-def family_lie_dimension(model: CorrelationModel, b3: float, u: float = 1.0,
-                         seed: int = 0) -> int:
+def family_lie_dimension(model: CorrelationModel, b3: float, u: float = 1.0) -> int:
     """Dimension of the Lie algebra generated by the whole correlation family.
 
     With the amplitudes treated as free parameters, this is the closure of
-    the pooled switched generators; for a single calibrated model use
-    ``lie_closure`` on its own generator pair instead (the family dimension
-    can exceed it).
+    the switched generators of all members; for a single calibrated model
+    use ``lie_closure`` on its own generator pair instead (the family
+    dimension can exceed it).
     """
-    return lie_closure(family_lie_generators(model, b3, u=u, seed=seed)).dim
+    return lie_closure(family_lie_generators(model, b3, u=u)).dim
 
 
 def positivity_admissible(coeffs: SpinFieldCoefficients) -> bool:

@@ -308,6 +308,21 @@ def test_reproduce_passes_and_is_deterministic(tmp_path):
     assert len(report["checks"]) >= 10
 
 
+def test_reproduce_ignores_seed_but_records_it(tmp_path):
+    # the family dimensions are exact: --seed changes only the recorded key
+    reports = []
+    for seed in (0, 7):
+        out = tmp_path / f"r{seed}.json"
+        assert run(["reproduce", "--output", out, "--seed", seed]) == 0
+        reports.append(json.loads(out.read_text()))
+    assert (reports[0]["seed"], reports[1]["seed"]) == (0, 7)
+    reports[1]["seed"] = 0
+    assert reports[0] == reports[1]
+    config = tmp_path / "config.json"
+    write_json(config, {"seed": 1.5})
+    assert run(["reproduce", "--config", config]) == 1
+
+
 def test_reproduce_perturbed_convention_mismatches(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert run(["reproduce", "--output", out, "--perturb-convention"]) == 3
