@@ -102,8 +102,6 @@ def _vector(data, name, length):
 
 
 def _subspace(data) -> ParamSubspace:
-    if "basis" not in data:
-        raise InputError("missing key 'basis' in input")
     rows = data["basis"]
     if not isinstance(rows, list) or not rows:
         raise InputError("field 'basis' must be a nonempty list of 6-vectors")
@@ -234,8 +232,6 @@ _MODEL_KEYS = {"family", "w11", "w13", "w33", "tau"}
 
 
 def _model_from(data) -> CorrelationModel:
-    if "family" not in data:
-        raise InputError("missing key 'family' in input")
     family = data["family"]
     if not (isinstance(family, str) and family in FAMILIES):
         raise InputError(f"field 'family' must be one of {FAMILIES}, got {family!r}")

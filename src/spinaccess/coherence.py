@@ -54,26 +54,34 @@ def density_to_coherence(rho: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("kij,ji->k", PAULI, rho)) / 2.0
 
 
-def coherence_to_density(v: np.ndarray, tol: float = PHYSICAL_TOL) -> np.ndarray:
+def coherence_to_density(v: np.ndarray) -> np.ndarray:
     """Reconstruct the density matrix I/2 + sum_k v_k sigma_k.
 
     Raises
     ------
     UnphysicalStateError
-        If ``v`` lies outside the Bloch ball of radius 1/2 beyond ``tol``.
+        If ``v`` lies outside the Bloch ball of radius 1/2 beyond
+        PHYSICAL_TOL.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise UnphysicalStateError(f"expected a 3-vector, got shape {v.shape}")
-    if not is_physical(v, tol):
+    if not is_physical(v):
         raise UnphysicalStateError(f"|v| = {np.linalg.norm(v)} exceeds 1/2")
     return np.eye(2, dtype=complex) / 2.0 + np.einsum("k,kij->ij", v, PAULI)
 
 
-def is_physical(v: np.ndarray, tol: float = PHYSICAL_TOL) -> bool:
-    """True iff ``v`` lies in the Bloch ball: |v|^2 <= 1/4 + tol."""
+def is_physical(v: np.ndarray, tol: float = PHYSICAL_TOL):
+    """True iff ``v`` lies in the Bloch ball: |v|^2 <= 1/4 + tol.
+
+    ``v`` is one vector, giving a bool, or a stack of them, (..., 3), giving
+    one flag per vector.  |v|^2 is the dot product of each vector with
+    itself, the same for a vector alone and in a stack; a NaN vector is
+    outside.
+    """
     v = np.asarray(v, dtype=float)
-    return bool(v @ v <= 0.25 + tol)
+    inside = (v[..., None, :] @ v[..., :, None])[..., 0, 0] <= 0.25 + tol
+    return bool(inside) if v.ndim == 1 else inside
 
 
 def purity(v: np.ndarray) -> float:

@@ -4,8 +4,11 @@ Propagation is by matrix exponential of the 3x3 generator, so segment
 evolution is exact to rounding and the semigroup composition property holds
 along a schedule.  ``expm`` is the scaling-and-squaring Pade method in numpy
 alone, over a stack of matrices, so propagating many times costs one call and
-the package needs no scipy.  Physicality violations along a trajectory are
-flagged, never silently dropped and never fatal: watching an ill-posed
+the package needs no scipy.  A schedule's sample at time t in a segment that
+starts at t_seg from state v_seg is exp(L (t - t_seg)) v_seg, one exponential
+from the segment start, never a chain of steps.  Bloch-ball violations along
+a trajectory are flagged at the one tolerance of ``coherence.is_physical``
+(1e-9), never silently dropped and never fatal: watching an ill-posed
 generator push the state out of the Bloch ball is one of the intended uses.
 """
 
@@ -16,9 +19,6 @@ import numpy as np
 from .coherence import is_physical
 from .errors import UnphysicalStateError
 from .generator import lindblad_superop
-
-#: Tolerance used when flagging Bloch-ball violations along trajectories.
-VIOLATION_TOL = 1e-8
 
 #: Most samples a schedule may produce, ten times a 1e5-sample trajectory.
 #: A CLI ``evolve`` of 1e6 samples peaked at 0.15 GB resident and took 7 s
@@ -46,22 +46,20 @@ class ControlSchedule:
 
 @dataclass
 class Trajectory:
-    """Sampled coherence-vector path with purity and control bookkeeping."""
+    """Sampled coherence-vector path with control bookkeeping.
+
+    The purities |v|^2 and the Bloch-ball flags follow from the states.
+    """
 
     times: np.ndarray          # (m,)
     states: np.ndarray         # (m, 3)
-    purities: np.ndarray       # (m,), |v|^2
     controls: np.ndarray       # (m,), control value in effect at each sample
-    violations: np.ndarray = field(default=None)  # (m,) bool, outside Bloch ball
+    purities: np.ndarray = field(init=False)    # (m,), |v|^2
+    violations: np.ndarray = field(init=False)  # (m,) bool, outside Bloch ball
 
     def __post_init__(self):
-        if self.violations is None:
-            # the same per-row dot product as is_physical's v @ v, so the
-            # flags match it to the last bit; negating <= flags NaN states,
-            # as is_physical does
-            states = np.asarray(self.states, dtype=float)
-            sq = (states[:, None, :] @ states[:, :, None]).reshape(-1)
-            self.violations = ~(sq <= 0.25 + VIOLATION_TOL)
+        self.purities = np.einsum("ij,ij->i", self.states, self.states)
+        self.violations = ~is_physical(self.states)
 
     @property
     def exited_ball(self) -> bool:
@@ -147,8 +145,11 @@ def evolve_schedule(h: np.ndarray, d: np.ndarray, sched: ControlSchedule,
     """Propagate through a control schedule, sampling every dt.
 
     Samples land on the uniform dt grid within each segment plus the exact
-    segment boundaries; the final state equals the ordered product of
-    segment exponentials applied to v0.
+    segment boundaries.  A segment starting at t_seg from state v_seg samples
+    exp(L (t - t_seg)) v_seg at each of its times t, so its last sample is
+    exp(L duration) v_seg and the final state is the ordered product of
+    segment exponentials applied to v0.  Samples outside the Bloch ball
+    beyond ``coherence.PHYSICAL_TOL`` are flagged in ``violations``.
 
     Raises
     ------
@@ -168,46 +169,23 @@ def evolve_schedule(h: np.ndarray, d: np.ndarray, sched: ControlSchedule,
     if not is_physical(v0):
         raise UnphysicalStateError(f"initial state |v0| = {np.linalg.norm(v0)} > 1/2")
 
-    # per segment: n_full samples on the dt grid, then one at the boundary
-    # unless the grid already ends there (within 1e-12)
-    plan = []
-    for duration, _ in sched.segments:
-        n_full = int(np.floor(duration / dt + 1e-12))
-        remainder = duration - n_full * dt
-        plan.append((n_full, remainder, remainder > 1e-12 or n_full == 0))
-    m = 1 + sum(n_full + extra for n_full, _, extra in plan)
-    times = np.empty(m)
-    states = np.empty((m, 3))
-    controls = np.empty(m)
-    times[0] = 0.0
-    states[0] = v0
-    controls[0] = sched.segments[0][1] if sched.segments else 0.0
-
-    i = 0
+    times = [[0.0]]
+    states = [[v0]]
+    controls = [[sched.segments[0][1] if sched.segments else 0.0]]
     t_origin = 0.0
-    for (duration, u), (n_full, remainder, extra) in zip(sched.segments, plan):
-        l = lindblad_superop(h, d, u)
-        step = expm(l * dt)
-        first = i + 1
-        i += n_full
-        times[first:i + 1] = t_origin + np.arange(1, n_full + 1) * dt
-        for k in range(first, i + 1):
-            states[k] = step @ states[k - 1]
-        if extra:
-            i += 1
-            states[i] = expm(l * remainder) @ states[i - 1]
-        controls[first:i + 1] = u
-        # the last sample sits exactly on the boundary, also where the dt grid
-        # reached it only up to rounding
-        times[i] = t_origin + duration
+    for duration, u in sched.segments:
+        # n_full samples on the dt grid, then one at the boundary; where the
+        # grid already ends there (within 1e-12), the boundary replaces its
+        # last point
+        n_full = int(np.floor(duration / dt + 1e-12))
+        extra = duration - n_full * dt > 1e-12 or n_full == 0
+        local = np.append(np.arange(1, n_full + extra) * dt, duration)
+        times.append(t_origin + local)
+        states.append(propagate(lindblad_superop(h, d, u), states[-1][-1], local))
+        controls.append(np.full(len(local), u))
         t_origin += duration
-
-    return Trajectory(
-        times=times,
-        states=states,
-        purities=np.einsum("ij,ij->i", states, states),
-        controls=controls,
-    )
+    return Trajectory(times=np.concatenate(times), states=np.concatenate(states),
+                      controls=np.concatenate(controls))
 
 
 def sz_derivatives(l: np.ndarray, v0: np.ndarray, max_order: int) -> np.ndarray:

@@ -115,9 +115,10 @@ def coefficients(model: CorrelationModel, b3: float) -> SpinFieldCoefficients:
             c11=model.w11, c12=0.0, c13=model.w13, c23=0.0, c33=model.w33,
             omega1=0.0, omega2=0.0, omega3=0.0, b3=b3)
     tau = model.tau
-    den = 1.0 + (2.0 * b3 * tau) ** 2
-    c12 = 2.0 * model.w11 * b3 * tau**2 / den
-    c23 = 2.0 * model.w13 * b3 * tau**2 / den
+    rate = HMAT_FACTOR * b3  # precession rate about the mean field
+    den = 1.0 + (rate * tau) ** 2
+    c12 = model.w11 * rate * tau**2 / den
+    c23 = model.w13 * rate * tau**2 / den
     return SpinFieldCoefficients(
         c11=2.0 * model.w11 * tau / den,
         c12=c12,
@@ -346,12 +347,7 @@ def mc_sample(model: CorrelationModel, b3: float, u: float, v0: np.ndarray,
     states = np.concatenate([chunk[..., 0] for chunk in
                              _state_chunks(model, b3, u, v0, durations, seed, [0])])
     times = np.concatenate([[0.0], np.cumsum(durations)])
-    return Trajectory(
-        times=times,
-        states=states,
-        purities=np.einsum("ij,ij->i", states, states),
-        controls=np.full(len(times), float(u)),
-    )
+    return Trajectory(times=times, states=states, controls=np.full(len(times), float(u)))
 
 
 @dataclass
@@ -442,24 +438,24 @@ def mc_validate(model: CorrelationModel, b3: float, u: float, v0: np.ndarray,
 # accessibility of a correlation family as a whole
 # ---------------------------------------------------------------------------
 
-def family_lie_generators(model: CorrelationModel, b3: float, u: float = 1.0) -> list:
+def family_lie_generators(model: CorrelationModel, b3: float) -> list:
     """Generators spanning the switched generators of every member of the family.
 
     The family is every model with the zero pattern of ``model``'s
     amplitudes, at any correlation time for the exponential family.  At
     fixed tau, D and the noise part of h are linear in (w11, w13, w33), so
     the unit-amplitude models the pattern allows span them, beside the
-    control field Hmat(u b3 z).  In tau the coefficients are rational with
-    the common denominator 1 + (2 b3 tau)^2 and numerators of degree at
-    most 3, so four distinct correlation times reach their whole span.
-    Nothing is drawn.
+    control field Hmat(b3 z), whose direction every nonzero control spans.
+    In tau the coefficients are rational with the common denominator
+    1 + (2 b3 tau)^2 and numerators of degree at most 3, so four distinct
+    correlation times reach their whole span.  Nothing is drawn.
     """
     units = (({"w11": 1.0}, model.w11), ({"w33": 1.0}, model.w33),
              ({"w11": 1.0, "w13": 1.0, "w33": 1.0}, model.w13))
     taus = [model.tau]
     if model.family == "exponential":
         taus = [model.tau * f for f in (1.0, 0.7, 1.2, 1.4)]
-    gens = [hamiltonian_matrix([0.0, 0.0, u * b3])]
+    gens = [hamiltonian_matrix([0.0, 0.0, b3])]
     for tau in taus:
         for amps, present in units:
             if present:
@@ -468,7 +464,7 @@ def family_lie_generators(model: CorrelationModel, b3: float, u: float = 1.0) ->
     return gens
 
 
-def family_lie_dimension(model: CorrelationModel, b3: float, u: float = 1.0) -> int:
+def family_lie_dimension(model: CorrelationModel, b3: float) -> int:
     """Dimension of the Lie algebra generated by the whole correlation family.
 
     With the amplitudes treated as free parameters, this is the closure of
@@ -476,7 +472,7 @@ def family_lie_dimension(model: CorrelationModel, b3: float, u: float = 1.0) -> 
     use ``lie_closure`` on its own generator pair instead (the family
     dimension can exceed it).
     """
-    return lie_closure(family_lie_generators(model, b3, u=u)).dim
+    return lie_closure(family_lie_generators(model, b3)).dim
 
 
 def positivity_admissible(coeffs: SpinFieldCoefficients) -> bool:

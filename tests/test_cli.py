@@ -391,6 +391,94 @@ def test_config_rejects_keys_of_flags_the_command_lacks(tmp_path, capsys):
     assert "'tol'" in capsys.readouterr().err
 
 
+def test_unreadable_or_non_object_input_rejected(tmp_path, capsys):
+    assert run(["classify", "--input", tmp_path / "absent.json"]) == 1
+    assert "cannot read input file" in capsys.readouterr().err
+    inp = tmp_path / "in.json"
+    write_json(inp, [[1, 1, 1, 0, 0, 0]])
+    assert run(["classify", "--input", inp]) == 1
+    assert "JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, data, key", [
+    ("classify", {"draws": 4}, "basis"),
+    ("spin-field", {"b3": 1.0}, "family"),
+    ("montecarlo", {"b3": 1.0, "v0": [0.5, 0, 0], "dt": 0.01, "t_final": 1.0,
+                    "n_samples": 100}, "family"),
+])
+def test_missing_required_key_rejected(tmp_path, capsys, command, data, key):
+    inp = tmp_path / "in.json"
+    write_json(inp, data)
+    assert run([command, "--input", inp]) == 1
+    assert f"missing key {key!r}" in capsys.readouterr().err
+
+
+def test_integer_literal_too_large_for_a_float_rejected(tmp_path, capsys):
+    # JSON reads 10**400 as an int, which float() cannot hold
+    inp = tmp_path / "in.json"
+    huge = "1" + "0" * 400
+    for dt, h in ((huge, "[0, 0, 1]"), ("0.1", f"[0, 0, {huge}]")):
+        inp.write_text('{"c": [1, 1, 1, 0, 0, 0], "h": %s, "v0": [0.5, 0, 0], '
+                       '"schedule": [[1.0, 1.0]], "dt": %s}' % (h, dt))
+        assert run(["evolve", "--input", inp]) == 1
+        assert "finite" in capsys.readouterr().err
+
+
+def test_classify_rejects_dependent_basis_rows(tmp_path, capsys):
+    inp = tmp_path / "in.json"
+    write_json(inp, {"basis": [[1, 0, 0, 0, 0, 0], [2, 0, 0, 0, 0, 0]]})
+    assert run(["classify", "--input", inp]) == 1
+    assert "not linearly independent" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("schedule", [[1.0, 1.0], [0.0, 0.0]], "field 'schedule' is invalid"),
+    ("schedule", [[-0.5, 1.0]], "field 'schedule' is invalid"),
+    ("dt", 0.0, "field 'dt' must be positive"),
+    ("dt", -0.01, "field 'dt' must be positive"),
+])
+def test_evolve_rejects_nonpositive_durations_and_steps(tmp_path, capsys, field, value,
+                                                        message):
+    inp = tmp_path / "in.json"
+    data = {"c": [1, 1, 1, 0, 0, 0], "h": [0, 0, 1], "v0": [0.5, 0, 0],
+            "schedule": [[1.0, 1.0]], "dt": 0.1}
+    data[field] = value
+    write_json(inp, data)
+    assert run(["evolve", "--input", inp]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_tol_flag_without_equals_rejected(tmp_path, capsys):
+    inp = tmp_path / "in.json"
+    write_json(inp, {"basis": [[1, 1, 1, 0, 0, 0]]})
+    assert run(["classify", "--input", inp, "--tol", "feas"]) == 1
+    assert "KEY=VAL" in capsys.readouterr().err
+
+
+def test_config_sets_input_format_and_tol(tmp_path, capsys):
+    inp = tmp_path / "in.json"
+    out = tmp_path / "out.json"
+    cfg = tmp_path / "cfg.json"
+    write_json(inp, {"c": [1, 1, 1, 0, 0, 0], "h": [0, 0, 1], "v0": [0.5, 0, 0],
+                     "schedule": [[0.3, 1.0]], "dt": 0.1})
+    write_json(cfg, {"input": str(inp), "output": str(out), "format": "json"})
+    assert run(["evolve", "--config", cfg]) == 0
+    assert len(json.loads(out.read_text())["times"]) == 4
+    write_json(cfg, {"format": "xml"})
+    assert run(["evolve", "--input", inp, "--config", cfg]) == 1
+    assert "config format" in capsys.readouterr().err
+
+    write_json(inp, {"basis": [[1, 1, 1, 0, 0, 0]]})
+    write_json(cfg, {"tol": {"feas": 1e-8}})
+    assert run(["classify", "--input", inp, "--output", out, "--config", cfg]) == 0
+    assert json.loads(out.read_text())["case"] == "3c"
+    for tol, message in (({"feas": 1.0}, "must lie in"), ({"bogus": 1e-8}, "in config"),
+                         (1e-8, "must be an object")):
+        write_json(cfg, {"tol": tol})
+        assert run(["classify", "--input", inp, "--config", cfg]) == 1
+        assert message in capsys.readouterr().err
+
+
 def test_integer_fields_reject_fractions(tmp_path, capsys):
     inp = tmp_path / "in.json"
     cfg = tmp_path / "cfg.json"
@@ -510,7 +598,6 @@ def test_csv_writer_matches_row_reference(tmp_path, capsys):
         states[0] = [-0.0, 0.5, 1e-320]
         states[-1] = [np.inf, np.nan, -np.inf]
         traj = Trajectory(times=np.cumsum(rng.uniform(0, 0.1, m)), states=states,
-                          purities=np.einsum("ij,ij->i", states, states),
                           controls=rng.choice([0.0, 1.0, -2.5, 1 / 3], m))
         want = reference_csv(traj)
         path = tmp_path / "traj.csv"

@@ -32,6 +32,14 @@ def test_wrong_trace_rejected():
         density_to_coherence(np.eye(2, dtype=complex))
 
 
+def test_wrong_shapes_rejected():
+    with pytest.raises(InvalidStateError, match="2x2"):
+        density_to_coherence(np.eye(3, dtype=complex) / 3)
+    for v in ([0.1, 0.2], np.zeros((2, 3))):
+        with pytest.raises(UnphysicalStateError, match="3-vector"):
+            coherence_to_density(v)
+
+
 def test_center_reconstructs_identity():
     assert np.allclose(coherence_to_density([0, 0, 0]), np.eye(2) / 2, atol=1e-15)
 

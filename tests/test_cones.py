@@ -21,6 +21,19 @@ def test_subspace_validation():
         ParamSubspace.from_vec6(np.vstack([np.eye(6), np.ones((1, 6))]))
 
 
+def test_subspace_rejects_malformed_input():
+    with pytest.raises(ValueError, match="shape"):
+        ParamSubspace(np.eye(3))
+    with pytest.raises(ValueError, match="zero element"):
+        ParamSubspace(np.stack([np.eye(3), np.zeros((3, 3))]))
+    with pytest.raises(ValueError, match="'c21'"):
+        ParamSubspace.from_free_entries(["c11", "c21"])
+    v = ParamSubspace.from_free_entries(["c11", "c13"])
+    for theta in ([1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]):
+        with pytest.raises(ValueError, match="coordinates"):
+            v.matrix(theta)
+
+
 def test_near_dependent_basis_keeps_verdicts():
     # the basis rank is decided where the cones and the span decide it, so a
     # basis the analysis resolves is accepted and one it cannot is refused

@@ -4,6 +4,7 @@ import pytest
 from spinaccess import (dissipation_from_kossakowski, hamiltonian_matrix,
                         kossakowski_from_dissipation, lindblad_superop,
                         sym_to_vec6, vec6_to_sym)
+from spinaccess.generator import require_symmetric
 
 
 def explicit_dissipation(c):
@@ -165,3 +166,14 @@ def test_vec6_serialization_round_trip():
 def test_asymmetric_input_rejected():
     with pytest.raises(ValueError):
         dissipation_from_kossakowski(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0.0]]))
+
+
+def test_shapes_rejected():
+    with pytest.raises(ValueError, match="C must be 3x3"):
+        require_symmetric(np.eye(2), "C")
+    for v in ([1, 2, 3, 4, 5], np.eye(6)):
+        with pytest.raises(ValueError, match="6-vector"):
+            vec6_to_sym(v)
+    for h in ([0, 1], np.eye(3)):
+        with pytest.raises(ValueError, match="3-vector"):
+            hamiltonian_matrix(h)

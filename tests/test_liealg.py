@@ -19,6 +19,15 @@ def unit(i, j):
 E = {(i + 1, j + 1): unit(i, j) for i in range(3) for j in range(3)}
 
 
+def test_lie_closure_rejects_malformed_generators():
+    with pytest.raises(ValueError, match="at least one"):
+        lie_closure([])
+    with pytest.raises(ValueError, match="3x3"):
+        lie_closure([np.eye(3), np.eye(2)])
+    with pytest.raises(ValueError, match="vanish"):
+        lie_closure([np.zeros((3, 3)), np.zeros((3, 3))])
+
+
 def span_contains(closure, mat, tol=1e-9):
     vec = mat.reshape(9)
     flat = closure.basis.reshape(closure.dim, 9)

@@ -295,6 +295,13 @@ def test_mc_validate_requires_samples():
                     0.01, 1.0, n_samples=99, seed=0)
 
 
+@pytest.mark.parametrize("dt, t_final", [(0.0, 1.0), (-0.01, 1.0), (0.01, 0.0),
+                                         (0.01, -1.0), (float("nan"), 1.0)])
+def test_time_grid_rejects_nonpositive_values(dt, t_final):
+    with pytest.raises(ValueError, match="must be positive"):
+        _time_grid(dt, t_final)
+
+
 def test_mc_budget_charges_each_sample_a_noise_chunk():
     model = CorrelationModel("white", w11=0.1)
     # 200,000 one-step samples draw 200,000 noise chunks: 1.28e7 as charged
