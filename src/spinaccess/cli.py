@@ -113,7 +113,12 @@ def _subspace(data) -> ParamSubspace:
 
 def _output(path):
     """The output file opened for writing, or stdout (left open) when path is None."""
-    return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w")
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise InputError(f"cannot write output file: {exc}")
 
 
 def _write_json(obj, path):
@@ -346,10 +351,12 @@ def _apply_config(args) -> None:
     # tol and format only where the command takes the flag
     _strict_keys(data, {"input", "output", "seed"} | ({"tol", "format"} & set(vars(args))),
                  set(), "config")
-    if "input" in data:
-        args.input = data["input"]
-    if "output" in data:
-        args.output = data["output"]
+    for key in ("input", "output"):
+        if key in data:
+            if not isinstance(data[key], str):
+                raise InputError(f"config key {key!r} must be a path string, "
+                                 f"got {data[key]!r}")
+            setattr(args, key, data[key])
     if "seed" in data:
         args.seed = _integer(data["seed"], "seed")
     if "format" in data:

@@ -75,16 +75,20 @@ def is_physical(v: np.ndarray, tol: float = PHYSICAL_TOL):
     """True iff ``v`` lies in the Bloch ball: |v|^2 <= 1/4 + tol.
 
     ``v`` is one vector, giving a bool, or a stack of them, (..., 3), giving
-    one flag per vector.  |v|^2 is the dot product of each vector with
-    itself, the same for a vector alone and in a stack; a NaN vector is
-    outside.
+    one flag per vector.  |v|^2 is ``purity``, the same for a vector alone
+    and in a stack; a NaN vector is outside.
+    """
+    inside = purity(v) <= 0.25 + tol
+    return bool(inside) if np.ndim(v) == 1 else inside
+
+
+def purity(v: np.ndarray):
+    """Squared norm |v|^2; equals 1/4 exactly for pure states.
+
+    ``v`` is one vector, giving a float, or a stack of them, (..., 3),
+    giving one value per vector.  Each is (x*x + y*y) + z*z, rounded alike
+    whatever the shape and the BLAS kernel.
     """
     v = np.asarray(v, dtype=float)
-    inside = (v[..., None, :] @ v[..., :, None])[..., 0, 0] <= 0.25 + tol
-    return bool(inside) if v.ndim == 1 else inside
-
-
-def purity(v: np.ndarray) -> float:
-    """Squared norm |v|^2; equals 1/4 exactly for pure states."""
-    v = np.asarray(v, dtype=float)
-    return float(v @ v)
+    squares = (v * v).sum(axis=-1)
+    return float(squares) if v.ndim == 1 else squares

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coherence import is_physical
+from .coherence import is_physical, purity
 from .errors import UnphysicalStateError
 from .generator import lindblad_superop
 
@@ -58,7 +58,7 @@ class Trajectory:
     violations: np.ndarray = field(init=False)  # (m,) bool, outside Bloch ball
 
     def __post_init__(self):
-        self.purities = np.einsum("ij,ij->i", self.states, self.states)
+        self.purities = purity(self.states)
         self.violations = ~is_physical(self.states)
 
     @property

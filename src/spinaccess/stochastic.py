@@ -14,6 +14,9 @@ the piecewise-constant Monte Carlo construction exactly.
 The control switches only the mean field b3; the noise, and hence the
 dissipative coefficients, are unaffected by it.  Coefficients are evaluated
 once at the operating b3 and held fixed under switching.
+
+A Monte Carlo sample's noise and states are the same in any lockstep group
+of samples and under any BLAS kernel; the Markov reference is not.
 """
 
 from dataclasses import dataclass
@@ -173,9 +176,11 @@ def cp_admissible(coeffs: SpinFieldCoefficients) -> bool:
 # ---------------------------------------------------------------------------
 
 def _cov_sqrt(cov: np.ndarray) -> np.ndarray:
-    """Symmetric square root, tolerant of singular covariances."""
+    """Symmetric square root, tolerant of singular covariances, summed from
+    the eigenpairs elementwise so that its rounding depends on no BLAS kernel."""
     vals, vecs = np.linalg.eigh(cov)
-    return vecs @ np.diag(np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
+    scaled = vecs * np.sqrt(np.maximum(vals, 0.0))
+    return scaled[:, None, 0] * vecs[:, 0] + scaled[:, None, 1] * vecs[:, 1]
 
 
 def _time_grid(dt: float, t_final: float, n_samples: int = 1) -> np.ndarray:
@@ -222,11 +227,10 @@ def _field_chunks(model: CorrelationModel, durations: np.ndarray,
     ensemble runs are reproducible and any single member can be regenerated
     in isolation.  Every stream is drawn NOISE_CHUNK steps at a time, so the
     noise held does not grow with the number of steps, and the draws equal
-    those of one whole draw per stream.  The draws of all samples go
-    through one product with the covariance root per chunk of steps, which
-    rounds each row alike whatever the number of samples; only a lone row,
-    one sample's single step, goes through numpy's vector product, which
-    may round it differently in the last bit.
+    those of one whole draw per stream.  The draws are correlated with the
+    covariance root elementwise, two products and a sum per component, so a
+    sample's field values are the same in any group of samples and under
+    any BLAS kernel.
     """
     n_steps = len(durations)
     root = _cov_sqrt(model.covariance)
@@ -248,10 +252,12 @@ def _field_chunks(model: CorrelationModel, durations: np.ndarray,
             rng.standard_normal(out=z[row])
         for lo in range(0, z.shape[1], ROTATION_CHUNK):
             first = start + lo
-            block = z[:, lo:lo + ROTATION_CHUNK]
-            # the step-major copy moves each (sample, step) pair as one complex
-            pairs = np.ascontiguousarray(block.view(np.complex128).T).view(float)
-            fields = (pairs.reshape(-1, 2) @ root.T).reshape(block.shape[1], -1, 2)
+            # the two draws of each step and sample as (steps, samples) planes;
+            # fields are written step-major, as the steps are read in turn
+            draw1, draw2 = z[:, lo:lo + ROTATION_CHUNK].transpose(2, 1, 0)
+            fields = np.empty(draw1.shape + (2,))
+            for i, (r1, r2) in enumerate(root):
+                np.add(draw1 * r1, draw2 * r2, out=fields[..., i])
             if white:
                 fields *= scale[first:first + len(fields), None, None]
             else:
@@ -264,58 +270,42 @@ def _field_chunks(model: CorrelationModel, durations: np.ndarray,
             yield fields
 
 
-def _precession(fields: np.ndarray, durations: np.ndarray, b3: float, u: float):
-    """Axis and angle of the exact precession of each step of a chunk,
-    v -> R(HMAT_FACTOR * h, dt) v, about the field h = (beta_1, 0, u b3 + beta_3).
-
-    Returns the unit axis as (steps, 3, samples) and the cos, sin and
-    1 - cos of the angle as (steps, 1, samples).
-    """
-    axis = np.zeros((len(fields), 3, fields.shape[1]))
-    axis[:, 0] = fields[..., 0]
-    axis[:, 2] = u * b3 + fields[..., 1]
-    axis *= HMAT_FACTOR
-    speed = np.sqrt(axis[:, 0] ** 2 + axis[:, 2] ** 2)[:, None]
-    small = speed < 1e-300
-    axis /= np.where(small, 1.0, speed)
-    np.copyto(axis, 0.0, where=small)
-    theta = np.multiply(speed, durations[:, None, None], out=speed)
-    cos_t = np.cos(theta)
-    return axis, cos_t, np.sin(theta, out=theta), 1.0 - cos_t
-
-
-def _advance(states: np.ndarray, fields: np.ndarray, durations: np.ndarray,
-             b3: float, u: float) -> np.ndarray:
-    """States after each step of a chunk, (steps, 3, samples), from states (3, samples).
-
-    All samples advance together, one step at a time, by the Rodrigues
-    formula v cos + (a x v) sin + a (a . v)(1 - cos).
-    """
-    axis, cos_t, sin_t, omc = _precession(fields, durations, b3, u)
-    out = np.empty(axis.shape)
-    for a, c, s, o, new in zip(axis, cos_t, sin_t, omc, out):
-        cross = a[[1, 2, 0]] * states[[2, 0, 1]]
-        cross -= a[[2, 0, 1]] * states[[1, 2, 0]]
-        cross *= s
-        np.multiply(states, c, out=new)
-        new += cross
-        new += a * (a * states).sum(axis=0) * o
-        states = new
-    return out
-
-
 def _state_chunks(model, b3, u, v0, durations, seed, sample_indices):
     """Yield the states at consecutive chunks of grid times, (times, 3, samples).
 
-    The first chunk is v0 alone.
+    The first chunk is v0 alone.  Each step is the exact precession
+    v -> R(HMAT_FACTOR * h, dt) v about the field h = (beta_1, 0, u b3 + beta_3)
+    held on it: all samples advance together, one step at a time, by the
+    Rodrigues formula v cos + (a x v) sin + a (a . v)(1 - cos).
     """
     v0 = np.asarray(v0, dtype=float)
     chunk = np.repeat(v0[None, :, None], len(sample_indices), axis=2)
     step = 0
     for fields in _field_chunks(model, durations, seed, sample_indices):
         yield chunk
-        chunk = _advance(chunk[-1], fields, durations[step:step + len(fields)], b3, u)
+        # unit axes (steps, 3, samples) and angles (steps, 1, samples)
+        axis = np.zeros((len(fields), 3, fields.shape[1]))
+        axis[:, 0] = fields[..., 0]
+        axis[:, 2] = u * b3 + fields[..., 1]
+        axis *= HMAT_FACTOR
+        speed = np.sqrt(axis[:, 0] ** 2 + axis[:, 2] ** 2)[:, None]
+        small = speed < 1e-300
+        axis /= np.where(small, 1.0, speed)
+        np.copyto(axis, 0.0, where=small)
+        theta = np.multiply(speed, durations[step:step + len(fields), None, None], out=speed)
         step += len(fields)
+        cos_t = np.cos(theta)
+        omc = 1.0 - cos_t
+        sin_t = np.sin(theta, out=theta)
+        states, chunk = chunk[-1], np.empty(axis.shape)
+        for a, c, s, o, new in zip(axis, cos_t, sin_t, omc, chunk):
+            cross = a[[1, 2, 0]] * states[[2, 0, 1]]
+            cross -= a[[2, 0, 1]] * states[[1, 2, 0]]
+            cross *= s
+            np.multiply(states, c, out=new)
+            new += cross
+            new += a * (a * states).sum(axis=0) * o
+            states = new
     yield chunk
 
 
@@ -382,7 +372,9 @@ def mc_validate(model: CorrelationModel, b3: float, u: float, v0: np.ndarray,
     squares at each time are merged in order into the running ones (Chan,
     Golub & LeVeque, Amer. Statist. 37, 1983), so the standard error does
     not lose digits to cancellation when the spread is small against the
-    mean.
+    mean.  A sample's states are the same in any group and under any BLAS
+    kernel, so ``mean_states`` and ``standard_error`` depend on the seed
+    alone; ``markov_states`` depend on the LAPACK kernel in their last bits.
 
     ``within_3se`` is a pointwise test: every (time, component) deviation,
     about 3000 of them on a 1000-step grid, must lie within 3 standard

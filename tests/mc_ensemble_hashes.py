@@ -1,0 +1,36 @@
+"""Print sha256 digests of Monte Carlo ensemble statistics.
+
+The ensemble mean and standard error of a seeded ``mc_validate`` run should
+not depend on the BLAS kernel.  Run this script under two OpenBLAS core
+types and compare the outputs byte for byte:
+
+    OPENBLAS_CORETYPE=Haswell python tests/mc_ensemble_hashes.py > haswell.txt
+    OPENBLAS_CORETYPE=Sandybridge python tests/mc_ensemble_hashes.py > sandybridge.txt
+    cmp haswell.txt sandybridge.txt
+
+The Markov reference is left out: its exponentials go through LAPACK, whose
+rounding does depend on the kernel.
+"""
+
+import hashlib
+
+from spinaccess.stochastic import CorrelationModel, mc_validate
+
+#: The README ``montecarlo`` model and the benchmark's bivariate model.
+MODELS = {
+    "white": CorrelationModel("white", w11=0.3, w13=0.1, w33=0.2),
+    "bivariate": CorrelationModel("exponential", w11=1.0, w13=0.3, w33=1.0, tau=0.1),
+}
+
+
+def main():
+    for name, model in MODELS.items():
+        report = mc_validate(model, b3=1.0, u=1.0, v0=[0.5, 0.0, 0.0], dt=0.005,
+                             t_final=1.0, n_samples=300, seed=7)
+        for field in ("mean_states", "standard_error"):
+            digest = hashlib.sha256(getattr(report, field).tobytes()).hexdigest()
+            print(f"{name} {field} {digest}")
+
+
+if __name__ == "__main__":
+    main()

@@ -349,6 +349,40 @@ def test_config_rejects_unknown_keys(tmp_path):
     assert run(["spin-field", "--input", inp, "--config", cfg]) == 1
 
 
+@pytest.mark.parametrize("key, value", [("output", True), ("output", 1), ("output", None),
+                                        ("input", 5), ("input", ["a"])])
+def test_config_paths_must_be_strings(tmp_path, capsys, key, value):
+    # open() would take a number, or true, as a file descriptor to write to
+    # and close, and raise TypeError on a list
+    inp = tmp_path / "in.json"
+    cfg = tmp_path / "cfg.json"
+    write_json(inp, {"family": "zero", "b3": 1.0})
+    write_json(cfg, {key: value})
+    assert run(["spin-field", "--input", inp, "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert f"config key {key!r} must be a path string" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("target", ["missing-dir/x.json", "."])
+@pytest.mark.parametrize("via_config", [False, True])
+def test_unwritable_output_is_input_error(tmp_path, capsys, target, via_config):
+    # a path in a missing directory, and a directory
+    inp = tmp_path / "in.json"
+    out = tmp_path / target
+    write_json(inp, {"family": "zero", "b3": 1.0})
+    if via_config:
+        cfg = tmp_path / "cfg.json"
+        write_json(cfg, {"output": str(out)})
+        argv = ["spin-field", "--input", inp, "--config", cfg]
+    else:
+        argv = ["spin-field", "--input", inp, "--output", out]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write output file: ")
+    assert captured.out == ""
+
+
 def test_unknown_tolerance_key_rejected(tmp_path):
     inp = tmp_path / "in.json"
     write_json(inp, {"basis": [[1, 1, 1, 0, 0, 0]]})

@@ -90,3 +90,17 @@ def test_pure_states_sit_on_sphere():
         v = density_to_coherence(np.outer(psi, psi.conj()))
         assert abs(np.linalg.norm(v) - 0.5) < 1e-12
         assert abs(purity(v) - 0.25) < 1e-12
+
+
+def test_purity_rounds_alike_for_a_vector_and_a_stack():
+    # (x*x + y*y) + z*z whatever the shape: the stack's values equal each
+    # vector's and the plain sum in Python floats
+    rng = np.random.default_rng(9)
+    stack = rng.standard_normal((4, 50, 3)) * rng.uniform(0.0, 0.6, (4, 50, 1))
+    values = purity(stack)
+    assert values.shape == (4, 50)
+    for v, p in zip(stack.reshape(-1, 3), values.ravel()):
+        x, y, z = v.tolist()
+        assert type(purity(v)) is float
+        assert purity(v) == p == (x * x + y * y) + z * z
+    assert np.array_equal(purity(stack[:, 0]), values[:, 0])

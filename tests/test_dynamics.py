@@ -8,7 +8,7 @@ from spinaccess import (ControlSchedule, Trajectory, UnphysicalStateError,
                         dissipation_from_kossakowski, evolve_schedule,
                         hamiltonian_matrix, is_physical, lindblad_superop,
                         propagate, sz_derivatives)
-from spinaccess.coherence import PHYSICAL_TOL
+from spinaccess.coherence import PHYSICAL_TOL, purity
 from spinaccess.dynamics import PROPAGATE_BLOCK, expm
 
 
@@ -178,6 +178,12 @@ def test_bloch_ball_violation_is_flagged():
     assert traj.exited_ball
 
 
+def plain_squared_norm(v):
+    """(x*x + y*y) + z*z in Python floats."""
+    x, y, z = (float(c) for c in v)
+    return (x * x + y * y) + z * z
+
+
 def test_violation_flags_match_is_physical():
     rng = np.random.default_rng(12)
     limit = 0.25 + PHYSICAL_TOL
@@ -189,14 +195,21 @@ def test_violation_flags_match_is_physical():
             near.append([v[0] + k * np.spacing(v[0]), v[1], v[2]])
     near = np.array(near)
     assert {np.nextafter(limit, 0.0), limit, np.nextafter(limit, 1.0)} <= \
-        {v @ v for v in near}
+        {plain_squared_norm(v) for v in near}
     bulk = rng.standard_normal((2000, 3)) * rng.uniform(0.0, 0.6, (2000, 1))
-    states = np.vstack([near, bulk, [[np.nan, 0, 0], [np.inf, 0, 0]]])
+    # a vector whose |v|^2 rounds to the limit by einsum and above it by a
+    # BLAS dot product
+    edge = [0.4481612222432267, 0.1710161788176681, 0.14108503272870793]
+    states = np.vstack([near, bulk, [edge, [np.nan, 0, 0], [np.inf, 0, 0]]])
     traj = Trajectory(times=np.arange(len(states), dtype=float), states=states,
                       controls=np.zeros(len(states)))
     expected = [not is_physical(v) for v in states]
-    assert expected == [not (v @ v <= limit) for v in states]
+    assert expected == [not (plain_squared_norm(v) <= limit) for v in states]
     assert np.array_equal(traj.violations, expected)
+    assert np.array_equal(traj.purities, [purity(v) for v in states], equal_nan=True)
+    numbers = ~np.isnan(traj.purities)
+    assert np.array_equal(traj.violations[numbers], traj.purities[numbers] > limit)
+    assert traj.violations[-3] and traj.purities[-3] > limit
     assert 0 < traj.violations.sum() < len(states)
 
 

@@ -353,13 +353,14 @@ def reference_noise_values(model, durations, seed, sample_indices):
         for row, k in enumerate(sample_indices):
             rng = np.random.default_rng([seed, k])
             z = rng.standard_normal((n_steps, 2))
-            betas[row] = (z @ root.T) * scale[:, None]
+            betas[row] = (z[:, :1] * root[:, 0] + z[:, 1:] * root[:, 1]) * scale[:, None]
         return betas
     phi = np.exp(-durations / model.tau)
     innov = np.sqrt(1.0 - phi**2)
     for row, k in enumerate(sample_indices):
         rng = np.random.default_rng([seed, k])
-        z = rng.standard_normal((n_steps + 1, 2)) @ root.T
+        z = rng.standard_normal((n_steps + 1, 2))
+        z = z[:, :1] * root[:, 0] + z[:, 1:] * root[:, 1]
         beta = z[0]
         for j in range(n_steps):
             betas[row, j] = beta
@@ -429,35 +430,19 @@ def chunked_states(model, b3, u, v0, durations, seed, sample_indices):
                                              sample_indices))).transpose(2, 0, 1)
 
 
-def assert_equal_unless_lone(actual, expected, lone, tol):
-    """Bitwise equal, or within ``tol`` absolute where the package's or the
-    reference's product with the covariance root had a lone row, which
-    numpy's vector product may round differently in the last bit."""
-    if lone:
-        assert np.max(np.abs(actual - expected)) <= tol
-    else:
-        assert np.array_equal(actual, expected)
-
-
 def assert_stepping_matches_reference(model, dt, t_final, n_samples):
     v0, seed = [0.3, 0.2, 0.1], 4
     durations = _time_grid(dt, t_final)
-    n_steps = len(durations)
-    # the reference draws a white stream in one product per sample, lone
-    # on a one-step grid; mc_sample's last rotation chunk is lone when it
-    # holds one step
-    white_lone = model.family == "white" and n_steps == 1
     idx = range(256, 300)
     fields = chunked_fields(model, durations, seed, idx)
-    ref = reference_noise_values(model, durations, seed, idx)
-    assert_equal_unless_lone(fields, ref, white_lone, 2 * np.spacing(np.abs(ref).max()))
+    assert np.array_equal(fields, reference_noise_values(model, durations, seed, idx))
     states = chunked_states(model, 1.0, 0.7, v0, durations, seed, idx)
-    ref = reference_ensemble_states(model, 1.0, 0.7, v0, durations, seed, idx)
-    assert_equal_unless_lone(states, ref, white_lone, 1e-16)
+    assert np.array_equal(states,
+                          reference_ensemble_states(model, 1.0, 0.7, v0, durations, seed, idx))
 
     traj = mc_sample(model, 1.0, 0.7, v0, dt, t_final, seed)
     ref = reference_ensemble_states(model, 1.0, 0.7, v0, durations, seed, [0])[0]
-    assert_equal_unless_lone(traj.states, ref, n_steps % ROTATION_CHUNK == 1, 1e-16)
+    assert np.array_equal(traj.states, ref)
 
     report = mc_validate(model, 1.0, 0.7, v0, dt, t_final, n_samples=n_samples, seed=seed)
     mean, se = reference_mean_and_se(model, 1.0, 0.7, v0, durations, seed, n_samples)
@@ -487,7 +472,7 @@ def test_mc_validate_matches_reference_over_a_partial_sum_block(model, n_samples
                                      ROTATION_CHUNK + 1, 2 * NOISE_CHUNK + 1])
 def test_mc_stepping_matches_reference_at_chunk_edges(model, n_steps):
     # grids of one step, and of one step past a noise or rotation chunk,
-    # whose last product with the covariance root holds one step
+    # whose last chunk of fields holds one step
     dt = 0.005
     durations = _time_grid(dt, n_steps * dt)
     assert len(durations) == n_steps
@@ -544,10 +529,10 @@ def test_mc_standard_error_vanishes_where_samples_agree(seed):
 
 
 @pytest.mark.parametrize("model", [MC_MODELS[0], MC_MODELS[2]], ids=["white", "bivariate"])
-@pytest.mark.parametrize("n_steps", [2, 9, 65, 201])
+@pytest.mark.parametrize("n_steps", [1, 2, 9, 65, 201])
 def test_mc_states_do_not_depend_on_the_group(model, n_steps):
-    # samples 256-299 alone, inside a full lockstep group, and inside a
-    # group that starts and ends elsewhere
+    # samples 256-299 alone, inside a full lockstep group, inside a group
+    # that starts and ends elsewhere, and each as a group of one sample
     v0, seed, dt = [0.3, 0.2, 0.1], 4, 0.005
     durations = _time_grid(dt, n_steps * dt)
     assert len(durations) == n_steps
@@ -556,6 +541,9 @@ def test_mc_states_do_not_depend_on_the_group(model, n_steps):
     shifted = chunked_states(model, 1.0, 0.7, v0, durations, seed, range(250, 310))
     assert np.array_equal(alone, full[256:300])
     assert np.array_equal(alone, shifted[6:50])
+    for k in range(256, 300):
+        single = chunked_states(model, 1.0, 0.7, v0, durations, seed, range(k, k + 1))
+        assert np.array_equal(single[0], alone[k - 256]), k
 
 
 def test_mc_validate_same_seed_same_bytes():
