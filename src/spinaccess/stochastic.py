@@ -276,35 +276,33 @@ def _state_chunks(model, b3, u, v0, durations, seed, sample_indices):
     The first chunk is v0 alone.  Each step is the exact precession
     v -> R(HMAT_FACTOR * h, dt) v about the field h = (beta_1, 0, u b3 + beta_3)
     held on it: all samples advance together, one step at a time, by the
-    Rodrigues formula v cos + (a x v) sin + a (a . v)(1 - cos).
+    Rodrigues formula v cos + (a x v) sin + a (a . v)(1 - cos), written per
+    component for the unit axis a = (a1, 0, a3).
     """
     v0 = np.asarray(v0, dtype=float)
     chunk = np.repeat(v0[None, :, None], len(sample_indices), axis=2)
     step = 0
     for fields in _field_chunks(model, durations, seed, sample_indices):
         yield chunk
-        # unit axes (steps, 3, samples) and angles (steps, 1, samples)
-        axis = np.zeros((len(fields), 3, fields.shape[1]))
-        axis[:, 0] = fields[..., 0]
-        axis[:, 2] = u * b3 + fields[..., 1]
-        axis *= HMAT_FACTOR
-        speed = np.sqrt(axis[:, 0] ** 2 + axis[:, 2] ** 2)[:, None]
-        small = speed < 1e-300
-        axis /= np.where(small, 1.0, speed)
-        np.copyto(axis, 0.0, where=small)
-        theta = np.multiply(speed, durations[step:step + len(fields), None, None], out=speed)
+        # unit axis components and angles, each (steps, samples)
+        a1 = HMAT_FACTOR * fields[..., 0]
+        a3 = HMAT_FACTOR * (u * b3 + fields[..., 1])
+        speed = np.sqrt(a1**2 + a3**2)
+        moving = ~(speed < 1e-300)
+        a1 = np.divide(a1, speed, out=np.zeros_like(a1), where=moving)
+        a3 = np.divide(a3, speed, out=np.zeros_like(a3), where=moving)
+        theta = np.multiply(speed, durations[step:step + len(fields), None], out=speed)
         step += len(fields)
         cos_t = np.cos(theta)
         omc = 1.0 - cos_t
         sin_t = np.sin(theta, out=theta)
-        states, chunk = chunk[-1], np.empty(axis.shape)
-        for a, c, s, o, new in zip(axis, cos_t, sin_t, omc, chunk):
-            cross = a[[1, 2, 0]] * states[[2, 0, 1]]
-            cross -= a[[2, 0, 1]] * states[[1, 2, 0]]
-            cross *= s
-            np.multiply(states, c, out=new)
-            new += cross
-            new += a * (a * states).sum(axis=0) * o
+        states, chunk = chunk[-1], np.empty((len(fields), 3, fields.shape[1]))
+        for a1_j, a3_j, c, s, o, new in zip(a1, a3, cos_t, sin_t, omc, chunk):
+            v1, v2, v3 = states
+            dot = a1_j * v1 + a3_j * v3
+            new[0] = v1 * c - a3_j * v2 * s + a1_j * dot * o
+            new[1] = v2 * c + (a3_j * v1 - a1_j * v3) * s
+            new[2] = v3 * c + a1_j * v2 * s + a3_j * dot * o
             states = new
     yield chunk
 
