@@ -72,7 +72,8 @@ class ParamSubspace:
         for k in range(n):
             basis[k] = require_symmetric(basis[k], f"basis element {k}")
         self.basis = basis
-        if np.any(np.linalg.norm(basis.reshape(n, 9), axis=1) < 1e-14):
+        # every later step divides each element by this norm, at any scale
+        if np.any(np.linalg.norm(basis.reshape(n, 9), axis=1) == 0.0):
             raise ValueError("basis contains a zero element")
         # the same rank the cone analysis and the isotropic span use
         if len(_orthonormal(basis)) != n:

@@ -140,16 +140,24 @@ def propagate(l: np.ndarray, v0: np.ndarray, t) -> np.ndarray:
     return out.reshape(times.shape + (3,))
 
 
+def sample_times(duration: float, dt: float) -> np.ndarray:
+    """Times dt, 2 dt, ... and then ``duration`` exactly, after a span's start.
+    Where the grid ends within 1e-12 dt of ``duration``, the end replaces its
+    last point: the slack is relative, so the count is the same in any unit."""
+    n_full = int(np.floor(duration / dt + 1e-12))
+    extra = duration - n_full * dt > 1e-12 * dt or n_full == 0
+    return np.append(np.arange(1, n_full + extra) * dt, duration)
+
+
 def evolve_schedule(h: np.ndarray, d: np.ndarray, sched: ControlSchedule,
                     v0: np.ndarray, dt: float) -> Trajectory:
     """Propagate through a control schedule, sampling every dt.
 
-    Samples land on the uniform dt grid within each segment plus the exact
-    segment boundaries.  A segment starting at t_seg from state v_seg samples
-    exp(L (t - t_seg)) v_seg at each of its times t, so its last sample is
-    exp(L duration) v_seg and the final state is the ordered product of
-    segment exponentials applied to v0.  Samples outside the Bloch ball
-    beyond ``coherence.PHYSICAL_TOL`` are flagged in ``violations``.
+    A segment starting at t_seg from state v_seg samples exp(L (t - t_seg))
+    v_seg at t_seg plus each of ``sample_times(duration, dt)``, so its last
+    sample is exp(L duration) v_seg and the final state is the ordered
+    product of segment exponentials applied to v0.  Samples outside the
+    Bloch ball beyond ``coherence.PHYSICAL_TOL`` are flagged in ``violations``.
 
     Raises
     ------
@@ -174,12 +182,7 @@ def evolve_schedule(h: np.ndarray, d: np.ndarray, sched: ControlSchedule,
     controls = [[sched.segments[0][1] if sched.segments else 0.0]]
     t_origin = 0.0
     for duration, u in sched.segments:
-        # n_full samples on the dt grid, then one at the boundary; where the
-        # grid already ends there (within 1e-12), the boundary replaces its
-        # last point
-        n_full = int(np.floor(duration / dt + 1e-12))
-        extra = duration - n_full * dt > 1e-12 or n_full == 0
-        local = np.append(np.arange(1, n_full + extra) * dt, duration)
+        local = sample_times(duration, dt)
         times.append(t_origin + local)
         states.append(propagate(lindblad_superop(h, d, u), states[-1][-1], local))
         controls.append(np.full(len(local), u))

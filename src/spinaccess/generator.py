@@ -25,11 +25,13 @@ HMAT_FACTOR = 2.0
 
 
 def require_symmetric(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Return ``m`` as a float array, raising ValueError if not symmetric 3x3."""
+    """``m`` as a float array; ValueError unless finite, 3x3 and relatively symmetric."""
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise ValueError(f"{name} must be 3x3, got shape {m.shape}")
-    if np.max(np.abs(m - m.T)) > _SYM_TOL * max(1.0, np.max(np.abs(m))):
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} has non-finite entries")
+    if np.max(np.abs(m - m.T)) > _SYM_TOL * np.max(np.abs(m)):
         raise ValueError(f"{name} is not symmetric")
     return 0.5 * (m + m.T)
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import FEAS_TOL, is_completely_positive, is_positive
-from .dynamics import Trajectory, propagate
+from .cones import FEAS_TOL, _is_psd, is_completely_positive, is_positive
+from .dynamics import Trajectory, propagate, sample_times
 from .errors import InvalidModelError, StepSizeError
 from .generator import (HMAT_FACTOR, dissipation_from_kossakowski, hamiltonian_matrix,
                         vec6_to_sym)
@@ -33,7 +33,7 @@ from .liealg import lie_closure
 #: Names of the correlation families.
 FAMILIES = ("zero", "white", "exponential")
 
-#: PSD tolerance for the (beta_1, beta_3) covariance block.
+#: PSD tolerance of the (beta_1, beta_3) covariance, relative to its norm.
 _COV_TOL = 1e-12
 
 #: Most realizations times steps one Monte Carlo run may take, five times
@@ -67,8 +67,7 @@ class CorrelationModel:
         if self.family not in FAMILIES:
             raise InvalidModelError(
                 f"family must be one of {FAMILIES}, got {self.family!r}")
-        cov = self.covariance
-        if np.linalg.eigvalsh(cov)[0] < -_COV_TOL * max(1.0, np.abs(cov).max()):
+        if not _is_psd(self.covariance, _COV_TOL):
             raise InvalidModelError(
                 f"amplitudes {(self.w11, self.w13, self.w33)} do not form a PSD covariance")
         if self.family == "exponential" and self.tau <= 0.0:
@@ -176,15 +175,17 @@ def cp_admissible(coeffs: SpinFieldCoefficients) -> bool:
 # ---------------------------------------------------------------------------
 
 def _cov_sqrt(cov: np.ndarray) -> np.ndarray:
-    """Symmetric square root, tolerant of singular covariances, summed from
-    the eigenpairs elementwise so that its rounding depends on no BLAS kernel."""
+    """Square root, tolerant of singular covariances, summed from the eigenpairs
+    elementwise so that its rounding depends on no BLAS kernel.  It is symmetric
+    to rounding only (2 ulps apart off the diagonal for the README white
+    covariance), and is not mirrored, which would change every ensemble."""
     vals, vecs = np.linalg.eigh(cov)
     scaled = vecs * np.sqrt(np.maximum(vals, 0.0))
     return scaled[:, None, 0] * vecs[:, 0] + scaled[:, None, 1] * vecs[:, 1]
 
 
 def _time_grid(dt: float, t_final: float, n_samples: int = 1) -> np.ndarray:
-    """Step durations covering [0, t_final] with a shortened final step.
+    """Grid times of [0, t_final]: 0 and ``dynamics.sample_times(t_final, dt)``.
 
     Raises ValueError, before allocating, when ``n_samples`` realizations
     on the grid, each charged at least NOISE_CHUNK steps, would exceed
@@ -196,12 +197,7 @@ def _time_grid(dt: float, t_final: float, n_samples: int = 1) -> np.ndarray:
         raise ValueError(f"{n_samples} samples of {t_final / dt:.3g} steps, each "
                          f"charged at least {NOISE_CHUNK}, exceed {MAX_SAMPLE_STEPS} "
                          f"sample-steps")
-    n_full = int(np.floor(t_final / dt + 1e-12))
-    durations = [dt] * n_full
-    rest = t_final - n_full * dt
-    if rest > 1e-12:
-        durations.append(rest)
-    return np.asarray(durations)
+    return np.append(0.0, sample_times(t_final, dt))
 
 
 #: Steps of noise drawn per call of a sample's generator.  A call costs
@@ -331,10 +327,9 @@ def mc_sample(model: CorrelationModel, b3: float, u: float, v0: np.ndarray,
         For an exponential family with dt > tau / 10.
     """
     _check_mc_preconditions(model, dt)
-    durations = _time_grid(dt, t_final)
+    times = _time_grid(dt, t_final)
     states = np.concatenate([chunk[..., 0] for chunk in
-                             _state_chunks(model, b3, u, v0, durations, seed, [0])])
-    times = np.concatenate([[0.0], np.cumsum(durations)])
+                             _state_chunks(model, b3, u, v0, np.diff(times), seed, [0])])
     return Trajectory(times=times, states=states, controls=np.full(len(times), float(u)))
 
 
@@ -361,7 +356,8 @@ def mc_validate(model: CorrelationModel, b3: float, u: float, v0: np.ndarray,
     Averages ``n_samples`` realizations (sub-seeded deterministically from
     ``seed``), propagates the same initial state with the closed-form
     generator, and reports componentwise deviations with their standard
-    errors.
+    errors, both at 0 and ``sample_times(t_final, dt)``, as ``evolve_schedule``
+    samples a segment of duration t_final.
 
     Up to LOCKSTEP_SAMPLES realizations advance together, one time step at
     a time, their noise drawn NOISE_CHUNK steps at a time, so the memory
@@ -386,8 +382,8 @@ def mc_validate(model: CorrelationModel, b3: float, u: float, v0: np.ndarray,
     if n_samples < 100:
         raise ValueError(f"need at least 100 samples, got {n_samples}")
     _check_mc_preconditions(model, dt)
-    durations = _time_grid(dt, t_final, n_samples)
-    times = np.concatenate([[0.0], np.cumsum(durations)])
+    times = _time_grid(dt, t_final, n_samples)
+    durations = np.diff(times)
 
     mean = np.zeros((len(times), 3))
     m2 = np.zeros((len(times), 3))

@@ -28,6 +28,8 @@ def test_subspace_rejects_malformed_input():
         ParamSubspace(np.stack([np.eye(3), np.zeros((3, 3))]))
     with pytest.raises(ValueError, match="'c21'"):
         ParamSubspace.from_free_entries(["c11", "c21"])
+    with pytest.raises(ValueError, match="non-finite"):
+        ParamSubspace.from_vec6([[1, 0, 0, 0, 0, 0], [0, np.nan, 0, 0, 0, 0]])
     v = ParamSubspace.from_free_entries(["c11", "c13"])
     for theta in ([1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]):
         with pytest.raises(ValueError, match="coordinates"):
@@ -65,6 +67,15 @@ def test_positivity_membership_examples():
     c = np.array([[1.0, 0.1, 0.0], [0.1, 0.0, 0.0], [0.0, 0.0, 1.0]])
     assert is_positive(c, 1e-9)
     assert not is_positive(-np.eye(3), 1e-9)
+
+
+def test_only_an_exact_zero_element_is_degenerate():
+    # every later step normalizes each element, so span{s E11, s E22} is
+    # the same subspace at any scale
+    basis = ParamSubspace.from_free_entries(["c11", "c22"]).basis
+    for scale in (1.0, 1e-10, 1e-14, 1e-15, 1e-100):
+        analysis = classify_subspace(ParamSubspace(scale * basis))
+        assert (analysis.case_label, analysis.n_p, analysis.n_cp) == ("3b", 2, 2), scale
 
 
 def test_cone_membership_is_scale_free():

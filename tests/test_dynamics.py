@@ -334,7 +334,7 @@ def reference_evolve_schedule(h, d, sched, v0, dt):
         v_seg = states[-1]
         n_full = int(np.floor(duration / dt + 1e-12))
         local = [k * dt for k in range(1, n_full + 1)]
-        if duration - n_full * dt > 1e-12 or n_full == 0:
+        if duration - n_full * dt > 1e-12 * dt or n_full == 0:
             local.append(duration)
         else:
             local[-1] = duration

@@ -168,6 +168,28 @@ def test_asymmetric_input_rejected():
         dissipation_from_kossakowski(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0.0]]))
 
 
+def test_symmetry_test_is_scale_free():
+    # a fully asymmetric s E12 is refused at every scale, not symmetrized
+    # below unit scale; a matrix symmetric to rounding is accepted
+    e12 = np.zeros((3, 3))
+    e12[0, 1] = 1.0
+    c = random_symmetric(np.random.default_rng(3))
+    for scale in (1e-15, 1e-12, 1e-6, 1.0, 1e6):
+        with pytest.raises(ValueError, match="not symmetric"):
+            require_symmetric(scale * e12)
+        near = scale * c
+        near[0, 1] *= 1.0 + 2e-16
+        assert np.array_equal(require_symmetric(near), 0.5 * (near + near.T))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_rejected(bad):
+    c = np.eye(3)
+    c[1, 2] = c[2, 1] = bad
+    with pytest.raises(ValueError, match="C has non-finite entries"):
+        require_symmetric(c, "C")
+
+
 def test_shapes_rejected():
     with pytest.raises(ValueError, match="C must be 3x3"):
         require_symmetric(np.eye(2), "C")

@@ -5,8 +5,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from spinaccess import (CorrelationModel, InvalidModelError, StepSizeError,
-                        build_spin_generator, coefficients, cp_admissible,
+from spinaccess import (ControlSchedule, CorrelationModel, InvalidModelError,
+                        StepSizeError, build_spin_generator, coefficients,
+                        cp_admissible, evolve_schedule,
                         family_lie_dimension, family_lie_generators,
                         hamiltonian_matrix, lie_closure,
                         mc_sample, mc_validate, positivity_admissible, propagate,
@@ -38,6 +39,17 @@ def test_model_validation():
         CorrelationModel("exponential", w11=1.0, tau=0.0)
     with pytest.raises(InvalidModelError):
         CorrelationModel("pink", w11=1.0)
+
+
+def test_covariance_psd_test_is_scale_free():
+    # the indefinite amplitudes (s, 2 s, s) are refused at every scale, and
+    # the singular PSD ones (s, s, s) and (0.3 s, sqrt(0.06) s, 0.2 s) accepted
+    for scale in 10.0 ** np.arange(-15, 7):
+        with pytest.raises(InvalidModelError, match="PSD"):
+            CorrelationModel("white", w11=scale, w13=2 * scale, w33=scale)
+        CorrelationModel("white", w11=scale, w13=scale, w33=scale)
+        CorrelationModel("exponential", w11=0.3 * scale, w13=np.sqrt(0.06) * scale,
+                         w33=0.2 * scale, tau=0.1)
 
 
 def test_zero_family_has_no_coefficients():
@@ -432,7 +444,7 @@ def chunked_states(model, b3, u, v0, durations, seed, sample_indices):
 
 def assert_stepping_matches_reference(model, dt, t_final, n_samples):
     v0, seed = [0.3, 0.2, 0.1], 4
-    durations = _time_grid(dt, t_final)
+    durations = np.diff(_time_grid(dt, t_final))
     idx = range(256, 300)
     fields = chunked_fields(model, durations, seed, idx)
     assert np.array_equal(fields, reference_noise_values(model, durations, seed, idx))
@@ -454,7 +466,7 @@ def assert_stepping_matches_reference(model, dt, t_final, n_samples):
 def test_mc_stepping_matches_per_sample_reference(model):
     # a shortened final step (1.003 = 200 * 0.005 + 0.003), a batch that
     # starts at sample 256, and a validation run of 300 samples
-    durations = _time_grid(0.005, 1.003)
+    durations = np.diff(_time_grid(0.005, 1.003))
     assert len(durations) == 201 and durations[-1] < 0.005
     assert_stepping_matches_reference(model, 0.005, 1.003, n_samples=300)
 
@@ -474,21 +486,39 @@ def test_mc_stepping_matches_reference_at_chunk_edges(model, n_steps):
     # grids of one step, and of one step past a noise or rotation chunk,
     # whose last chunk of fields holds one step
     dt = 0.005
-    durations = _time_grid(dt, n_steps * dt)
+    durations = np.diff(_time_grid(dt, n_steps * dt))
     assert len(durations) == n_steps
     assert_stepping_matches_reference(model, dt, n_steps * dt, n_samples=100)
 
 
 @pytest.mark.parametrize("model", [MC_MODELS[0], MC_MODELS[2]], ids=["white", "bivariate"])
-def test_mc_grid_without_steps_keeps_the_initial_state(model):
-    # t_final below the grid's 1e-12 resolution leaves no step to sample
-    v0 = [0.3, 0.2, 0.1]
-    traj = mc_sample(model, 1.0, 0.7, v0, 0.005, 1e-13, seed=4)
-    assert np.array_equal(traj.states, [v0])
-    report = mc_validate(model, 1.0, 0.7, v0, 0.005, 1e-13, n_samples=100, seed=4)
-    assert np.array_equal(report.times, [0.0])
-    assert np.max(np.abs(report.mean_states - [v0])) < 1e-15
-    assert np.max(report.standard_error) < 1e-8
+def test_mc_span_shorter_than_dt_takes_one_step(model):
+    # a t_final far below dt is one step to its end, as evolve_schedule
+    # samples a segment shorter than dt
+    traj = mc_sample(model, 1.0, 0.7, [0.3, 0.2, 0.1], 0.005, 1e-13, seed=4)
+    assert np.array_equal(traj.times, [0.0, 1e-13])
+    report = mc_validate(model, 1.0, 0.7, [0.3, 0.2, 0.1], 0.005, 1e-13,
+                         n_samples=100, seed=4)
+    assert np.array_equal(report.times, [0.0, 1e-13])
+    assert_stepping_matches_reference(model, 0.005, 1e-13, n_samples=100)
+
+
+@pytest.mark.parametrize("scale", [1e-15, 1e-12, 1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("dt, t_final, n_times", [(1.0, 1.5, 3), (0.1, 1.05, 12)])
+def test_schedule_and_mc_sample_the_same_times_in_any_time_unit(scale, dt, t_final, n_times):
+    # one sampling grid, whose slack is relative to dt: a change of time
+    # unit changes neither which grid points are sampled nor the last time
+    dt, t_final = dt * scale, t_final * scale
+    model = MC_MODELS[0]
+    sched = ControlSchedule([(t_final, 1.0)])
+    times = [evolve_schedule(np.zeros(3), np.eye(3), sched, [0.3, 0.2, 0.1], dt).times,
+             mc_sample(model, 1.0, 1.0, [0.3, 0.2, 0.1], dt, t_final, seed=1).times,
+             mc_validate(model, 1.0, 1.0, [0.3, 0.2, 0.1], dt, t_final,
+                         n_samples=100, seed=1).times]
+    assert len(times[0]) == n_times
+    for t in times[1:]:
+        assert t.tobytes() == times[0].tobytes()
+    assert times[0][-1] == t_final
 
 
 def test_mc_steps_are_exact_hamiltonian_exponentials():
@@ -496,7 +526,7 @@ def test_mc_steps_are_exact_hamiltonian_exponentials():
     # held on it, exp(-Hmat(h_j) dt_j), which fixes the precession rate to
     # that of hamiltonian_matrix
     model, b3, u, v0, seed = MC_MODELS[2], 1.0, 0.7, [0.3, 0.2, 0.1], 5
-    durations = _time_grid(0.005, 1.003)
+    durations = np.diff(_time_grid(0.005, 1.003))
     fields = chunked_fields(model, durations, seed, [0])[0]
     traj = mc_sample(model, b3, u, v0, 0.005, 1.003, seed)
     for j, (beta, dt_j) in enumerate(zip(fields, durations)):
@@ -511,7 +541,7 @@ def test_mc_standard_error_under_weak_noise_matches_two_pass(seed):
     # cancels most of its digits, a merge of centred sums does not
     model = CorrelationModel("white", w11=1e-10, w33=1e-10)
     v0, n_samples = [0.5, 0.0, 0.0], 400
-    durations = _time_grid(0.01, 1.0)
+    durations = np.diff(_time_grid(0.01, 1.0))
     report = mc_validate(model, 1.0, 1.0, v0, 0.01, 1.0, n_samples=n_samples, seed=seed)
     states = chunked_states(model, 1.0, 1.0, v0, durations, seed, range(n_samples))
     ref = states.std(axis=0, ddof=1) / np.sqrt(n_samples)
@@ -534,7 +564,7 @@ def test_mc_states_do_not_depend_on_the_group(model, n_steps):
     # samples 256-299 alone, inside a full lockstep group, inside a group
     # that starts and ends elsewhere, and each as a group of one sample
     v0, seed, dt = [0.3, 0.2, 0.1], 4, 0.005
-    durations = _time_grid(dt, n_steps * dt)
+    durations = np.diff(_time_grid(dt, n_steps * dt))
     assert len(durations) == n_steps
     alone = chunked_states(model, 1.0, 0.7, v0, durations, seed, range(256, 300))
     full = chunked_states(model, 1.0, 0.7, v0, durations, seed, range(LOCKSTEP_SAMPLES))
