@@ -72,8 +72,8 @@ class ParamSubspace:
         for k in range(n):
             basis[k] = require_symmetric(basis[k], f"basis element {k}")
         self.basis = basis
-        # every later step divides each element by this norm, at any scale
-        if np.any(np.linalg.norm(basis.reshape(n, 9), axis=1) == 0.0):
+        # every later step normalizes each element, at any scale
+        if not basis.reshape(n, 9).any(axis=1).all():
             raise ValueError("basis contains a zero element")
         # the same rank the cone analysis and the isotropic span use
         if len(_orthonormal(basis)) != n:
@@ -159,6 +159,9 @@ def is_positive(c: np.ndarray, tol: float = FEAS_TOL) -> bool:
 
 #: Barrier weights along the central path, 1 down to 1e-8.  Smaller weights
 #: make the Newton systems too ill-conditioned to follow a boundary face.
+#: Each weight is centred only roughly (squared Newton decrement below 1/16,
+#: inside the region where full steps converge quadratically), the last
+#: one fully (below 1e-12).
 _MU_PATH = 10.0 ** -np.arange(9)
 
 #: Eigenvalues of the trace-one dual at or below this span its kernel.  At
@@ -176,8 +179,13 @@ _SYM_BASIS = np.stack([vec6_to_sym(row).reshape(9) for row in
 
 
 def _orthonormal(mats: np.ndarray) -> np.ndarray:
-    """Frobenius-orthonormal basis of the span, each element normalized first."""
+    """Frobenius-orthonormal basis of the span, each element normalized first.
+
+    Each element is divided by its largest entry before its norm, which
+    squares the entries, so that no element under- or overflows.
+    """
     flat = mats.reshape(len(mats), -1)
+    flat = flat / np.abs(flat).max(axis=1, keepdims=True)
     flat = flat / np.linalg.norm(flat, axis=1, keepdims=True)
     _, sv, vt = np.linalg.svd(flat, full_matrices=False)
     return vt[: int(np.sum(sv > RANK_TOL * sv[0]))].reshape((-1,) + mats.shape[1:])
@@ -186,50 +194,72 @@ def _orthonormal(mats: np.ndarray) -> np.ndarray:
 def _central_path(mats: np.ndarray):
     """Centre x and trace-one dual Y of max t s.t. sum_k x_k M_k >= t I, |x| <= 1.
 
-    Follows the log-det barrier central path from (t, x) = (-1, 0) by damped
-    Newton steps through the barrier weights mu of _MU_PATH.
-    With Z = sum_k x_k M_k - t I, stationarity in t makes Y = mu Z^-1 a
-    trace-one PSD matrix, and stationarity in x makes it orthogonal to every
-    M_k up to O(mu): the dual certificate of facial reduction.  The Newton
-    system is solved through a QR factor of its square root, which keeps
-    the small curvature of the ball term that the explicit Hessian loses.
+    Damped Newton steps follow the log-det barrier central path from
+    (t, x) = (-1, 0), to a squared decrement below 1/16 at each weight mu of
+    _MU_PATH and below 1e-12 at the last.  With Z = sum_k x_k M_k - t I,
+    stationarity makes Y = mu Z^-1 trace-one and orthogonal to every M_k up
+    to O(mu): the dual certificate of facial reduction.  The Newton system
+    is solved through a QR factor of its square root, which keeps the small
+    curvature of the ball term that the explicit Hessian loses.
     """
     m, r = mats.shape[:2]
     a = np.concatenate([-np.eye(r)[None], mats])  # Z = sum_i z_i a_i, z = (t, x)
-    z = np.zeros(m + 1)
-    z[0] = -1.0
+    z = np.concatenate([[-1.0], np.zeros(m)])
+    eye, newton = np.eye(m), np.zeros((r * r + m, m + 1))  # root of the Newton matrix
     for mu in _MU_PATH:
         for _ in range(50):
             x = z[1:]
             s = 1.0 - x @ x
             w, vecs = np.linalg.eigh(np.einsum("k,kij->ij", z, a))
             root = vecs / np.sqrt(w)
-            scaled = np.einsum("ia,kij,jb->kab", root, a, root)  # Z^-1/2 a_i Z^-1/2
-            grad = np.trace(scaled, axis1=1, axis2=2)
+            scaled = root.T @ a @ root  # Z^-1/2 a_i Z^-1/2
+            grad = np.einsum("kaa->k", scaled)
             grad[0] += 1.0 / mu
             grad[1:] -= 2.0 * x / s
-            ball = np.linalg.cholesky(2.0 * np.eye(m) / s + 4.0 * np.outer(x, x) / s**2)
-            rr = np.linalg.qr(np.vstack([scaled.reshape(m + 1, -1).T,
-                                         np.hstack([np.zeros((m, 1)), ball.T])]),
-                              mode="r")
+            newton[: r * r] = scaled.reshape(m + 1, -1).T
+            c = 2.0 / (s * (1.0 + np.sqrt(1.0 + 2.0 * (x @ x) / s)))  # no cancellation
+            newton[r * r:, 1:] = np.sqrt(2.0 / s) * (eye + c * x[:, None] * x)  # ball root
+            rr = np.linalg.qr(newton, mode="r")
             step = np.linalg.solve(rr, np.linalg.solve(rr.T, grad))
             dec = float(grad @ step)  # squared Newton decrement
             z = z + (step / (1.0 + np.sqrt(dec)) if dec > 1.0 / 16.0 else step)
-            if dec < 1e-12:
+            if dec < (1e-12 if mu == _MU_PATH[-1] else 1.0 / 16.0):
                 break
     y = np.linalg.inv(np.einsum("k,kij->ij", z, a))
     return z[1:], y / np.trace(y)
+
+
+def _canonical(members: np.ndarray) -> np.ndarray:
+    """Rotation taking orthonormal members to a basis fixed by their span alone.
+
+    The basis is Gram-Schmidt of the orthogonal projector onto the span,
+    column by column in the (c11, c22, c33, c12, c13, c23) order, skipping
+    columns within _SUPPORT_CUT of the directions already taken.  Column j
+    of the projector is the combination coords[:, j] of the members, so the
+    process runs on those coordinates.  Rounding rotates the members of a
+    degenerate span arbitrarily; it moves this basis only by rounding.
+    """
+    coords = members.reshape(len(members), 9) @ _SYM_BASIS.T
+    rotation = np.zeros((0, len(members)))
+    for col in coords.T:
+        for _ in range(2):  # twice is enough for orthogonality
+            col = col - rotation.T @ (rotation @ col)
+        norm = np.linalg.norm(col)
+        if norm > _SUPPORT_CUT:
+            rotation = np.vstack([rotation, col / norm])
+    return rotation
 
 
 def _face(members: np.ndarray, tol: float):
     """Facial reduction of the span of orthonormal members against the PSD cone.
 
     Returns (rank, members, x): the rank of the smallest face of the PSD
-    cone holding every PSD member of the span, an orthonormal basis of the
-    span's members supported on that face, and the coordinates on that basis
-    of its central point.  While the central point of the current face is
-    not strictly feasible (depth at most ``tol``), the face shrinks to the
-    kernel of the dual; each pass drops at least one dimension.
+    cone holding every PSD member of the span, the canonical orthonormal
+    basis of the span's members supported on that face (see _canonical),
+    and the coordinates on that basis of its central point.  While the
+    central point of the current face is not strictly feasible (depth at
+    most ``tol``), the face shrinks to the kernel of the dual; each pass
+    drops at least one dimension.
     """
     u = np.eye(3)
     while len(members) and u.shape[1]:
@@ -237,7 +267,8 @@ def _face(members: np.ndarray, tol: float):
         x, dual = _central_path(reduced)
         centre = np.einsum("k,kab->ab", x, reduced)
         if np.linalg.eigvalsh(centre)[0] > tol * np.linalg.norm(centre):
-            return u.shape[1], members, x
+            rotation = _canonical(members)
+            return u.shape[1], np.einsum("jk,kab->jab", rotation, members), rotation @ x
         vals, vecs = np.linalg.eigh(dual)
         u = u @ vecs[:, vals <= _DUAL_CUT]
         off = np.einsum("ij,kjl->kil", np.eye(3) - u @ u.T, members)
@@ -289,8 +320,9 @@ def classify_subspace(v: ParamSubspace, tol: float = FEAS_TOL) -> ConeAnalysis:
     lambda_min of the unit-norm central admissible member, or, when only
     zero is admissible, minus that of the central member of the orthogonal
     complement.  The witnesses are that central member and short steps from
-    it along an orthonormal basis of the face members, so they span the
-    admissible set.  Nothing depends on the frame, scale or choice of basis.
+    it along the canonical orthonormal basis of the face members, so they
+    span the admissible set and do not depend on the choice of basis or its
+    scale.  No verdict depends on the frame, scale or choice of basis.
 
     Raises
     ------

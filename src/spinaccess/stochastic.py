@@ -70,9 +70,9 @@ class CorrelationModel:
         if not _is_psd(self.covariance, _COV_TOL):
             raise InvalidModelError(
                 f"amplitudes {(self.w11, self.w13, self.w33)} do not form a PSD covariance")
-        if self.family == "exponential" and self.tau <= 0.0:
+        if self.family == "exponential" and not 0.0 < self.tau < np.inf:
             raise InvalidModelError(
-                f"exponential family needs tau > 0, got {self.tau}")
+                f"exponential family needs 0 < tau < inf, got {self.tau}")
 
     @property
     def covariance(self) -> np.ndarray:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +10,7 @@ from spinaccess import (ParamSubspace, classify_subspace,
                         dissipation_from_kossakowski, is_completely_positive,
                         is_positive, isotropic_span, rank_drop_certificate,
                         sym_to_vec6)
+from spinaccess import cones
 
 from pattern_library import PATTERNS, build
 
@@ -71,9 +74,10 @@ def test_positivity_membership_examples():
 
 def test_only_an_exact_zero_element_is_degenerate():
     # every later step normalizes each element, so span{s E11, s E22} is
-    # the same subspace at any scale
+    # the same subspace at any scale, also where the squared norm of an
+    # element under- or overflows
     basis = ParamSubspace.from_free_entries(["c11", "c22"]).basis
-    for scale in (1.0, 1e-10, 1e-14, 1e-15, 1e-100):
+    for scale in (1.0, 1e-10, 1e-14, 1e-15, 1e-100, 1e-170, 1e-300, 1e160, 1e300):
         analysis = classify_subspace(ParamSubspace(scale * basis))
         assert (analysis.case_label, analysis.n_p, analysis.n_cp) == ("3b", 2, 2), scale
 
@@ -277,3 +281,103 @@ def test_classification_survives_element_scaling(index, exponents):
     v = build(PATTERNS[index][1])
     scales = 10.0 ** exponents[: v.n]
     _assert_same_classification(index, ParamSubspace(v.basis * scales[:, None, None]))
+
+
+# ---------------------------------------------------------------------------
+# witnesses fixed by the subspace, and the central path against full centring
+# ---------------------------------------------------------------------------
+
+def _mixed(v, rng):
+    """The same subspace in another basis: a mixing of condition number at most 100."""
+    left, right = (np.linalg.qr(rng.standard_normal((v.n, v.n)))[0] for _ in range(2))
+    mix = left @ np.diag(10.0 ** rng.uniform(-1.0, 1.0, v.n)) @ right
+    return ParamSubspace(np.einsum("kl,lij->kij", mix, v.basis))
+
+
+def test_witnesses_do_not_depend_on_the_basis():
+    # the face members are taken in a basis fixed by their span, so the
+    # witnesses read the same however the subspace is written down
+    rng = np.random.default_rng(15)
+    for index, (name, kwargs, _, n_p, n_cp, _, _) in enumerate(PATTERNS):
+        analysis = classify_subspace(build(kwargs))
+        assert len(analysis.witnesses_p) == (1 + n_p if n_p else 0), name
+        assert len(analysis.witnesses_cp) == (1 + n_cp if n_cp else 0), name
+        for _ in range(3):
+            mixed = _mixed(build(kwargs), rng)
+            _assert_same_classification(index, mixed)
+            other = classify_subspace(mixed)
+            for ours, theirs in ((analysis.witnesses_p, other.witnesses_p),
+                                 (analysis.witnesses_cp, other.witnesses_cp)):
+                assert len(ours) == len(theirs), name
+                for w, u in zip(ours, theirs):
+                    assert np.abs(w - u).max() <= 1e-12, name
+
+
+def _fully_centred_path(mats):
+    """The central path with every barrier weight centred to a squared decrement of 1e-12."""
+    m, r = mats.shape[:2]
+    a = np.concatenate([-np.eye(r)[None], mats])
+    z = np.zeros(m + 1)
+    z[0] = -1.0
+    for mu in 10.0 ** -np.arange(9):
+        for _ in range(50):
+            x = z[1:]
+            s = 1.0 - x @ x
+            w, vecs = np.linalg.eigh(np.einsum("k,kij->ij", z, a))
+            root = vecs / np.sqrt(w)
+            scaled = np.einsum("ia,kij,jb->kab", root, a, root)
+            grad = np.trace(scaled, axis1=1, axis2=2)
+            grad[0] += 1.0 / mu
+            grad[1:] -= 2.0 * x / s
+            ball = np.linalg.cholesky(2.0 * np.eye(m) / s + 4.0 * np.outer(x, x) / s**2)
+            rr = np.linalg.qr(np.vstack([scaled.reshape(m + 1, -1).T,
+                                         np.hstack([np.zeros((m, 1)), ball.T])]),
+                              mode="r")
+            step = np.linalg.solve(rr, np.linalg.solve(rr.T, grad))
+            dec = float(grad @ step)
+            z = z + (step / (1.0 + np.sqrt(dec)) if dec > 1.0 / 16.0 else step)
+            if dec < 1e-12:
+                break
+    y = np.linalg.inv(np.einsum("k,kij->ij", z, a))
+    return z[1:], y / np.trace(y)
+
+
+def _coordinate_subspaces():
+    """All 63 coordinate patterns, each as given and in two random frames,
+    at element scales 1e-6..1e6 and with basis mixing."""
+    rng = np.random.default_rng(1515)
+    names = ["c11", "c22", "c33", "c12", "c13", "c23"]
+    for k in range(1, 7):
+        for entries in itertools.combinations(names, k):
+            v = ParamSubspace.from_free_entries(entries)
+            yield v
+            for _ in range(2):
+                q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+                scales = 10.0 ** rng.uniform(-6.0, 6.0, v.n)
+                mixed = _mixed(v, rng).basis * scales[:, None, None]
+                yield ParamSubspace(np.stack([q @ b @ q.T for b in mixed]))
+
+
+def test_rough_centring_keeps_the_verdicts_of_full_centring(monkeypatch):
+    # centring the weights before the last one only to a decrement of 1/16
+    # keeps every verdict and moves no extent by more than 1e-12, in fewer
+    # Newton steps; each step factors the Newton matrix once by QR
+    steps = [0]
+    qr = np.linalg.qr
+
+    def counting_qr(*args, **kwargs):
+        steps[0] += 1
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    subspaces = list(_coordinate_subspaces())
+    rough = [classify_subspace(v) for v in subspaces]
+    rough_steps, steps[0] = steps[0], 0
+    monkeypatch.setattr(cones, "_central_path", _fully_centred_path)
+    full = [classify_subspace(v) for v in subspaces]
+    assert rough_steps < steps[0]
+    for ours, theirs in zip(rough, full):
+        assert ((ours.case_label, ours.n_p, ours.n_cp, ours.ambiguous)
+                == (theirs.case_label, theirs.n_p, theirs.n_cp, theirs.ambiguous))
+        assert abs(ours.extent_p - theirs.extent_p) <= 1e-12
+        assert abs(ours.extent_cp - theirs.extent_cp) <= 1e-12

@@ -41,6 +41,13 @@ def test_model_validation():
         CorrelationModel("pink", w11=1.0)
 
 
+@pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf, 0.0, -0.5])
+def test_exponential_family_needs_finite_positive_tau(tau):
+    # a NaN tau used to construct and turn every coefficient but b3 into NaN
+    with pytest.raises(InvalidModelError, match="0 < tau < inf"):
+        CorrelationModel("exponential", w11=1.0, w13=0.2, w33=1.0, tau=tau)
+
+
 def test_covariance_psd_test_is_scale_free():
     # the indefinite amplitudes (s, 2 s, s) are refused at every scale, and
     # the singular PSD ones (s, s, s) and (0.3 s, sqrt(0.06) s, 0.2 s) accepted
