@@ -179,12 +179,9 @@ _SYM_BASIS = np.stack([vec6_to_sym(row).reshape(9) for row in
 
 
 def _orthonormal(mats: np.ndarray) -> np.ndarray:
-    """Frobenius-orthonormal basis of the span, each element normalized first.
-
-    Each element is divided by its largest entry before its norm, which
-    squares the entries, so that no element under- or overflows.
-    """
+    """Frobenius-orthonormal basis of the span, each element normalized first."""
     flat = mats.reshape(len(mats), -1)
+    # the norm squares the entries: scaled to at most one first, it cannot under- or overflow
     flat = flat / np.abs(flat).max(axis=1, keepdims=True)
     flat = flat / np.linalg.norm(flat, axis=1, keepdims=True)
     _, sv, vt = np.linalg.svd(flat, full_matrices=False)

@@ -229,7 +229,8 @@ _UNIT_ENTRIES = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
 
 def _assert_same_classification(index, rewritten):
-    """Same verdicts, k_dim and certificate as the pattern, and witnesses inside subspace and cone."""
+    """Same verdicts, k_dim and certificate as the pattern, and witnesses inside
+    subspace and cone; returns the analysis."""
     name, _, case, n_p, n_cp, k_dim, verdict = PATTERNS[index]
     analysis = classify_subspace(rewritten)
     assert (analysis.case_label, analysis.n_p, analysis.n_cp) == (case, n_p, n_cp), name
@@ -247,6 +248,7 @@ def _assert_same_classification(index, rewritten):
             assert np.linalg.norm(w6 - span.T @ (span @ w6)) <= 1e-8 * np.linalg.norm(w6), name
             image = to_cone(w)
             assert np.linalg.eigvalsh(image)[0] >= -1e-9 * np.linalg.norm(image), name
+    return analysis
 
 
 _SETTINGS = settings(deadline=None)
@@ -303,9 +305,7 @@ def test_witnesses_do_not_depend_on_the_basis():
         assert len(analysis.witnesses_p) == (1 + n_p if n_p else 0), name
         assert len(analysis.witnesses_cp) == (1 + n_cp if n_cp else 0), name
         for _ in range(3):
-            mixed = _mixed(build(kwargs), rng)
-            _assert_same_classification(index, mixed)
-            other = classify_subspace(mixed)
+            other = _assert_same_classification(index, _mixed(build(kwargs), rng))
             for ours, theirs in ((analysis.witnesses_p, other.witnesses_p),
                                  (analysis.witnesses_cp, other.witnesses_cp)):
                 assert len(ours) == len(theirs), name
