@@ -17,6 +17,8 @@ either the subspace holds a definite matrix, or a nonzero PSD matrix Y is
 orthogonal to it and every admissible member lives on the face ker Y.  A
 log-det barrier, which is concave and has one maximizer, finds the central
 point and Y together; in 3x3 at most three reductions reach the answer.
+Only zero is admissible exactly when Y is definite, and then the depth of
+the unit-norm Y itself says how far that answer is from flipping.
 
 K is computed without search: the common zeros of the forms w^T B w split
 along singular members of their pencil (Richter-Gebert, Perspectives on
@@ -253,10 +255,11 @@ def _face(members: np.ndarray, tol: float):
     Returns (rank, members, x): the rank of the smallest face of the PSD
     cone holding every PSD member of the span, the canonical orthonormal
     basis of the span's members supported on that face (see _canonical),
-    and the coordinates on that basis of its central point.  While the
-    central point of the current face is not strictly feasible (depth at
-    most ``tol``), the face shrinks to the kernel of the dual; each pass
-    drops at least one dimension.
+    and the coordinates on that basis of its central point; at rank 0, no
+    members and the trace-one dual of the last pass, definite when that
+    pass leaves no face.  While the central point of the current face is not
+    strictly feasible (depth at most ``tol``), the face shrinks to the
+    kernel of the dual; each pass drops at least one dimension.
     """
     u = np.eye(3)
     while len(members) and u.shape[1]:
@@ -271,29 +274,23 @@ def _face(members: np.ndarray, tol: float):
         off = np.einsum("ij,kjl->kil", np.eye(3) - u @ u.T, members)
         _, sv, vt = np.linalg.svd(off.reshape(len(members), 9).T)
         members = np.einsum("jk,kab->jab", vt[sv <= _SUPPORT_CUT], members)
-    return 0, members[:0], None
-
-
-def _unit_member(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The member with coordinates x, scaled to unit Frobenius norm."""
-    m = np.einsum("k,kij->ij", x, mats)
-    return m / np.linalg.norm(m)
+    return 0, members[:0], dual
 
 
 def _analyze_cone(v: ParamSubspace, cone: str, tol: float):
     """Face rank, admissible span dimension, signed depth and witnesses."""
-    images = v.basis if cone == "CP" else np.stack(
-        [dissipation_from_kossakowski(b) for b in v.basis])
-    span = _orthonormal(images)
-    rank, members, x = _face(span, tol)
+    # each element scaled exactly, by a power of two, to entries below one,
+    # so that D(b) cannot overflow
+    _, exponent = np.frexp(np.abs(v.basis).max(axis=(1, 2), keepdims=True))
+    basis = np.ldexp(v.basis, -exponent)
+    images = basis if cone == "CP" else np.stack(
+        [dissipation_from_kossakowski(b) for b in basis])
+    rank, members, x = _face(_orthonormal(images), tol)
     if rank == 0:
-        # the span meets the cone only at zero iff its orthogonal complement
-        # within the symmetric matrices holds a definite matrix; report how deep
-        coords = span.reshape(len(span), 9) @ _SYM_BASIS.T
-        comp = (np.linalg.svd(coords)[2][len(span):] @ _SYM_BASIS).reshape(-1, 3, 3)
-        centre = _unit_member(comp, _central_path(comp)[0])
-        return 0, 0, -float(np.linalg.eigvalsh(centre)[0]), []
-    centre = _unit_member(members, x)
+        # x is the dual, orthogonal to the span: minus its depth
+        return 0, 0, -float(np.linalg.eigvalsh(x)[0] / np.linalg.norm(x)), []
+    centre = np.einsum("k,kij->ij", x, members)
+    centre /= np.linalg.norm(centre)
     # short steps along the face members stay inside the face: each has unit
     # norm, so it moves the face eigenvalues of the centre by at most the step
     u = np.linalg.eigh(centre)[1][:, 3 - rank:]
@@ -315,10 +312,11 @@ def classify_subspace(v: ParamSubspace, tol: float = FEAS_TOL) -> ConeAnalysis:
     which the admissible sets span.  A boundary face is reported as the
     boundary case and flagged as ambiguous.  ``extent_*`` is a signed depth:
     lambda_min of the unit-norm central admissible member, or, when only
-    zero is admissible, minus that of the central member of the orthogonal
-    complement.  The witnesses are that central member and short steps from
-    it along the canonical orthonormal basis of the face members, so they
-    span the admissible set and do not depend on the choice of basis or its
+    zero is admissible, minus lambda_min of the unit-norm facial-reduction
+    dual, the definite matrix orthogonal to the subspace that certifies it.
+    The witnesses are the central admissible member and short steps from it
+    along the canonical orthonormal basis of the face members, so they span
+    the admissible set and do not depend on the choice of basis or its
     scale.  No verdict depends on the frame, scale or choice of basis.
 
     Raises

@@ -33,7 +33,7 @@ def require_symmetric(m: np.ndarray, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} has non-finite entries")
     if np.max(np.abs(m - m.T)) > _SYM_TOL * np.max(np.abs(m)):
         raise ValueError(f"{name} is not symmetric")
-    return 0.5 * (m + m.T)
+    return 0.5 * m + 0.5 * m.T
 
 
 def sym_to_vec6(m: np.ndarray) -> np.ndarray:

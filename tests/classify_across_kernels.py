@@ -1,15 +1,19 @@
-"""Check that the README ``classify`` reads the same under two OpenBLAS cores.
+"""Check that ``classify`` reads the same under two OpenBLAS cores.
 
-Runs ``spinaccess classify`` on the README subspace once per core type given
-on the command line, each in a fresh process with ``OPENBLAS_CORETYPE`` set,
-and compares the runs:
+Runs ``spinaccess classify`` on each subspace of ``SUBSPACES`` once per core
+type given on the command line, each in a fresh process with
+``OPENBLAS_CORETYPE`` set, and compares the runs:
 
     PYTHONPATH=src python tests/classify_across_kernels.py Haswell Sandybridge
 
-The case label, n, n_p, n_cp, the ambiguity flag, the certificate and the
-exit code must be equal, and witnesses and extents must agree within 1e-12.
-Bytes are not compared: the extents go through LAPACK ``eigvalsh``, whose
-last bits depend on the kernel.  Exits 1 on any difference.
+The subspaces are the README one (3b, a boundary face, exit 2) and two whose
+cones meet the PSD cone only at zero, so that their extents come from the
+facial-reduction dual: the indefinite ray (case 1) and the near-definite ray
+(2b, CP only), both exit 0.  For each, the case label, n, n_p, n_cp, the
+ambiguity flag, the certificate and the exit code must be equal, and
+witnesses and extents must agree within 1e-12.  Bytes are not compared: the
+extents go through LAPACK ``eigvalsh``, whose last bits depend on the
+kernel.  Exits 1 on any difference.
 """
 
 import json
@@ -20,20 +24,25 @@ import tempfile
 
 import numpy as np
 
-#: The README ``classify`` input: every entry but c22 varies freely.
-README_SUBSPACE = {"basis": [[1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0],
-                             [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]]}
+#: Name and ``classify`` input of each subspace; the README one has every
+#: entry but c22 free, the rays are those of the pattern library.
+SUBSPACES = {
+    "README": {"basis": [[1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0],
+                         [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]]},
+    "indefinite ray": {"basis": [[1, -1, 0, 0, 0, 0]]},
+    "near-definite ray": {"basis": [[1, 1, -0.5, 0, 0, 0]]},
+}
 
 EXACT = ("case", "n", "n_p", "n_cp", "ambiguous", "certificate")
 CLOSE = ("extent_p", "extent_cp", "witnesses_p", "witnesses_cp")
 
 
-def classify(core: str, workdir: str):
-    """Exit code and output of the README classify under one OpenBLAS core."""
+def classify(subspace: dict, core: str, workdir: str):
+    """Exit code and output of classify on one subspace under one OpenBLAS core."""
     source = os.path.join(workdir, "subspace.json")
     with open(source, "w") as fh:
-        json.dump(README_SUBSPACE, fh)
-    target = os.path.join(workdir, f"analysis-{core}.json")
+        json.dump(subspace, fh)
+    target = os.path.join(workdir, "analysis.json")
     env = dict(os.environ, OPENBLAS_CORETYPE=core)
     code = subprocess.run([sys.executable, "-m", "spinaccess.cli", "classify",
                            "--input", source, "--output", target], env=env).returncode
@@ -58,16 +67,16 @@ def differences(first, second) -> list:
 
 def main(argv):
     cores = argv or ["Haswell", "Sandybridge"]
-    with tempfile.TemporaryDirectory() as workdir:
-        runs = {core: classify(core, workdir) for core in cores}
-    reference = cores[0]
-    print(f"{reference}: exit {runs[reference][0]}, "
-          + ", ".join(f"{key} {runs[reference][1][key]}" for key in EXACT))
-    failed = False
-    for core in cores[1:]:
-        for problem in differences(runs[reference], runs[core]):
-            print(f"{core} against {reference}: {problem}")
-            failed = True
+    reference, failed = cores[0], False
+    for name, subspace in SUBSPACES.items():
+        with tempfile.TemporaryDirectory() as workdir:
+            runs = {core: classify(subspace, core, workdir) for core in cores}
+        print(f"{name}, {reference}: exit {runs[reference][0]}, "
+              + ", ".join(f"{key} {runs[reference][1][key]}" for key in EXACT))
+        for core in cores[1:]:
+            for problem in differences(runs[reference], runs[core]):
+                print(f"{name}, {core} against {reference}: {problem}")
+                failed = True
     return 1 if failed else 0
 
 

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -75,11 +76,18 @@ def test_positivity_membership_examples():
 def test_only_an_exact_zero_element_is_degenerate():
     # every later step normalizes each element, so span{s E11, s E22} is
     # the same subspace at any scale, also where the squared norm of an
-    # element under- or overflows
+    # element under- or overflows, or, near the largest double, its sum with
+    # another entry
     basis = ParamSubspace.from_free_entries(["c11", "c22"]).basis
-    for scale in (1.0, 1e-10, 1e-14, 1e-15, 1e-100, 1e-170, 1e-300, 1e160, 1e300):
-        analysis = classify_subspace(ParamSubspace(scale * basis))
-        assert (analysis.case_label, analysis.n_p, analysis.n_cp) == ("3b", 2, 2), scale
+    for scale in (1.0, 1e-10, 1e-14, 1e-15, 1e-100, 1e-170, 1e-300, 1e160, 1e300,
+                  1e308, 1.7e308):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = ParamSubspace(scale * basis)
+            analysis = classify_subspace(v)
+            summary = (analysis.case_label, analysis.n_p, analysis.n_cp,
+                       isotropic_span(v).k_dim, rank_drop_certificate(v))
+        assert summary == ("3b", 2, 2, 1, "none"), scale
 
 
 def test_cone_membership_is_scale_free():
@@ -116,8 +124,11 @@ def test_extent_of_identity_ray():
 
 
 def test_extent_of_indefinite_ray():
+    # the dual certifying that only zero is admissible is I / 3, orthogonal
+    # to diag(1, -1, 0): minus lambda_min of I / sqrt(3)
     analysis = classify_subspace(ParamSubspace.from_vec6([[1, -1, 0, 0, 0, 0]]))
     assert analysis.extent_cp < -1e-6
+    assert abs(analysis.extent_cp + 1.0 / np.sqrt(3.0)) < 1e-9
     assert analysis.witnesses_cp == []
 
 
@@ -298,7 +309,9 @@ def _mixed(v, rng):
 
 def test_witnesses_do_not_depend_on_the_basis():
     # the face members are taken in a basis fixed by their span, so the
-    # witnesses read the same however the subspace is written down
+    # witnesses read the same however the subspace is written down; so do
+    # the extents, rank-0 ones included (indefinite ray, pure coupling ray,
+    # two couplings, near-definite ray)
     rng = np.random.default_rng(15)
     for index, (name, kwargs, _, n_p, n_cp, _, _) in enumerate(PATTERNS):
         analysis = classify_subspace(build(kwargs))
@@ -306,6 +319,8 @@ def test_witnesses_do_not_depend_on_the_basis():
         assert len(analysis.witnesses_cp) == (1 + n_cp if n_cp else 0), name
         for _ in range(3):
             other = _assert_same_classification(index, _mixed(build(kwargs), rng))
+            assert abs(analysis.extent_p - other.extent_p) <= 1e-12, name
+            assert abs(analysis.extent_cp - other.extent_cp) <= 1e-12, name
             for ours, theirs in ((analysis.witnesses_p, other.witnesses_p),
                                  (analysis.witnesses_cp, other.witnesses_cp)):
                 assert len(ours) == len(theirs), name
@@ -381,3 +396,35 @@ def test_rough_centring_keeps_the_verdicts_of_full_centring(monkeypatch):
                 == (theirs.case_label, theirs.n_p, theirs.n_cp, theirs.ambiguous))
         assert abs(ours.extent_p - theirs.extent_p) <= 1e-12
         assert abs(ours.extent_cp - theirs.extent_cp) <= 1e-12
+
+
+def _complement_extent(v, cone):
+    """Minus lambda_min of the unit-norm central member of the orthogonal
+    complement of the cone image of v, among the symmetric matrices."""
+    images = v.basis if cone == "CP" else np.stack(
+        [dissipation_from_kossakowski(b) for b in v.basis])
+    span = cones._orthonormal(images)
+    coords = span.reshape(len(span), 9) @ cones._SYM_BASIS.T
+    comp = (np.linalg.svd(coords)[2][len(span):] @ cones._SYM_BASIS).reshape(-1, 3, 3)
+    centre = np.einsum("k,kij->ij", _fully_centred_path(comp)[0], comp)
+    return -float(np.linalg.eigvalsh(centre / np.linalg.norm(centre))[0])
+
+
+def test_rank_zero_extent_lies_between_complement_depth_and_zero():
+    # the certifying dual is a unit member of the complement, so it is at
+    # most as deep as the complement's deepest member, and definite; the
+    # complements of rank-0 coordinate patterns all hold I, random subspaces
+    # give the bound room
+    rng = np.random.default_rng(16)
+    random = [ParamSubspace(a + a.transpose(0, 2, 1))
+              for a in (rng.standard_normal((rng.integers(1, 7), 3, 3)) for _ in range(100))]
+    checked = 0
+    for v in itertools.chain(_coordinate_subspaces(), random):
+        analysis = classify_subspace(v)
+        for cone, extent, rank_zero in (
+                ("P", analysis.extent_p, analysis.case_label == "1"),
+                ("CP", analysis.extent_cp, analysis.case_label in ("1", "2a", "2b"))):
+            if rank_zero:
+                assert _complement_extent(v, cone) - 1e-12 <= extent < 0.0
+                checked += 1
+    assert checked > 0
