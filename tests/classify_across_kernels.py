@@ -6,10 +6,10 @@ type given on the command line, each in a fresh process with
 
     PYTHONPATH=src python tests/classify_across_kernels.py Haswell Sandybridge
 
-The subspaces are the README one (3b, a boundary face, exit 2) and two whose
-cones meet the PSD cone only at zero, so that their extents come from the
-facial-reduction dual: the indefinite ray (case 1) and the near-definite ray
-(2b, CP only), both exit 0.  For each, the case label, n, n_p, n_cp, the
+The subspaces are the README one (3b, a boundary face, exit 2) and two with
+a cone that meets the PSD cone only at zero, whose extent comes from the
+facial-reduction dual: the indefinite ray (case 1, both cones) and the
+near-definite ray (2b, the CP cone), both exit 0.  For each, the case label, n, n_p, n_cp, the
 ambiguity flag, the certificate and the exit code must be equal, and
 witnesses and extents must agree within 1e-12.  Bytes are not compared: the
 extents go through LAPACK ``eigvalsh``, whose last bits depend on the
@@ -42,7 +42,7 @@ def classify(subspace: dict, core: str, workdir: str):
     source = os.path.join(workdir, "subspace.json")
     with open(source, "w") as fh:
         json.dump(subspace, fh)
-    target = os.path.join(workdir, "analysis.json")
+    target = os.path.join(workdir, f"analysis-{core}.json")
     env = dict(os.environ, OPENBLAS_CORETYPE=core)
     code = subprocess.run([sys.executable, "-m", "spinaccess.cli", "classify",
                            "--input", source, "--output", target], env=env).returncode
