@@ -252,19 +252,21 @@ def _canonical(members: np.ndarray) -> np.ndarray:
 def _face(members: np.ndarray, tol: float):
     """Facial reduction of the span of orthonormal members against the PSD cone.
 
-    Returns (rank, members, x): the rank of the smallest face of the PSD
-    cone holding every PSD member of the span, the canonical orthonormal
-    basis of the span's members supported on that face (see _canonical),
-    and the coordinates on that basis of its central point; at rank 0, no
-    members and the trace-one dual of the last pass, definite when that
-    pass leaves no face.  While the central point of the current face is not
-    strictly feasible (depth at most ``tol``), the face shrinks to the
-    kernel of the dual; each pass drops at least one dimension.
+    Returns (rank, members, x_or_dual): the rank of the smallest face of
+    the PSD cone holding every PSD member of the span, the canonical
+    orthonormal basis of the span's members supported on that face (see
+    _canonical), and the coordinates on that basis of its central point; at
+    rank 0, no members and the first pass's dual, 3x3 and definite, projected
+    onto the complement of the span.  While the central point of the
+    current face is not strictly feasible (depth at most ``tol``), the face
+    shrinks to the kernel of the dual; each pass drops at least one dimension.
     """
-    u = np.eye(3)
+    u, first = np.eye(3), None
     while len(members) and u.shape[1]:
         reduced = np.einsum("ia,kij,jb->kab", u, members, u)
         x, dual = _central_path(reduced)
+        if first is None:  # the one pass that sees the whole span
+            first = dual - np.tensordot(np.tensordot(members, dual, 2), members, 1)
         centre = np.einsum("k,kab->ab", x, reduced)
         if np.linalg.eigvalsh(centre)[0] > tol * np.linalg.norm(centre):
             rotation = _canonical(members)
@@ -274,7 +276,7 @@ def _face(members: np.ndarray, tol: float):
         off = np.einsum("ij,kjl->kil", np.eye(3) - u @ u.T, members)
         _, sv, vt = np.linalg.svd(off.reshape(len(members), 9).T)
         members = np.einsum("jk,kab->jab", vt[sv <= _SUPPORT_CUT], members)
-    return 0, members[:0], dual
+    return 0, members[:0], first
 
 
 def _analyze_cone(v: ParamSubspace, cone: str, tol: float):
@@ -285,11 +287,10 @@ def _analyze_cone(v: ParamSubspace, cone: str, tol: float):
     basis = np.ldexp(v.basis, -exponent)
     images = basis if cone == "CP" else np.stack(
         [dissipation_from_kossakowski(b) for b in basis])
-    rank, members, x = _face(_orthonormal(images), tol)
-    if rank == 0:
-        # x is the dual, orthogonal to the span: minus its depth
-        return 0, 0, -float(np.linalg.eigvalsh(x)[0] / np.linalg.norm(x)), []
-    centre = np.einsum("k,kij->ij", x, members)
+    rank, members, x_or_dual = _face(_orthonormal(images), tol)
+    if rank == 0:  # minus the depth of the certificate
+        return 0, 0, -float(np.linalg.eigvalsh(x_or_dual)[0] / np.linalg.norm(x_or_dual)), []
+    centre = np.einsum("k,kij->ij", x_or_dual, members)
     centre /= np.linalg.norm(centre)
     # short steps along the face members stay inside the face: each has unit
     # norm, so it moves the face eigenvalues of the centre by at most the step
@@ -312,8 +313,8 @@ def classify_subspace(v: ParamSubspace, tol: float = FEAS_TOL) -> ConeAnalysis:
     which the admissible sets span.  A boundary face is reported as the
     boundary case and flagged as ambiguous.  ``extent_*`` is a signed depth:
     lambda_min of the unit-norm central admissible member, or, when only
-    zero is admissible, minus lambda_min of the unit-norm facial-reduction
-    dual, the definite matrix orthogonal to the subspace that certifies it.
+    zero is admissible, minus lambda_min of the unit-norm first-pass dual,
+    the definite matrix orthogonal to the subspace that certifies it.
     The witnesses are the central admissible member and short steps from it
     along the canonical orthonormal basis of the face members, so they span
     the admissible set and do not depend on the choice of basis or its

@@ -9,9 +9,9 @@ type given on the command line, each in a fresh process with
 The subspaces are the README one (3b, a boundary face, exit 2) and two with
 a cone that meets the PSD cone only at zero, whose extent comes from the
 facial-reduction dual: the indefinite ray (case 1, both cones) and the
-near-definite ray (2b, the CP cone), both exit 0.  For each, the case label, n, n_p, n_cp, the
-ambiguity flag, the certificate and the exit code must be equal, and
-witnesses and extents must agree within 1e-12.  Bytes are not compared: the
+near-definite ray (2b, the CP cone), both exit 0.  For each, the case
+label, n, n_p, n_cp, the ambiguity flag, the certificate and the exit code
+must be equal, and witnesses and extents must agree within 1e-12.  Bytes are not compared: the
 extents go through LAPACK ``eigvalsh``, whose last bits depend on the
 kernel.  Exits 1 on any difference.
 """

@@ -9,8 +9,8 @@ from hypothesis.extra.numpy import arrays
 
 from spinaccess import (ParamSubspace, classify_subspace,
                         dissipation_from_kossakowski, is_completely_positive,
-                        is_positive, isotropic_span, rank_drop_certificate,
-                        sym_to_vec6)
+                        is_positive, isotropic_span, kossakowski_from_dissipation,
+                        rank_drop_certificate, sym_to_vec6, vec6_to_sym)
 from spinaccess import cones
 
 from pattern_library import PATTERNS, build
@@ -410,16 +410,29 @@ def _complement_extent(v, cone):
     return -float(np.linalg.eigvalsh(centre / np.linalg.norm(centre))[0])
 
 
-def test_rank_zero_extent_lies_between_complement_depth_and_zero():
+def test_rank_zero_extent_lies_between_complement_depth_and_zero(monkeypatch):
     # the certifying dual is a unit member of the complement, so it is at
     # most as deep as the complement's deepest member, and definite; the
     # complements of rank-0 coordinate patterns all hold I, random subspaces
-    # give the bound room
+    # give the bound room, and in the thin pairs below facial reduction
+    # reaches rank 0 only at a second pass, in 2x2 face coordinates
     rng = np.random.default_rng(16)
     random = [ParamSubspace(a + a.transpose(0, 2, 1))
               for a in (rng.standard_normal((rng.integers(1, 7), 3, 3)) for _ in range(100))]
+    thin = []
+    for eps in (-1e-4, -1e-5):
+        rows = [vec6_to_sym(r) for r in ([1, -1, 0, 0, 0, 0], [1, 1, eps, 0, 0, 0])]
+        thin += [(ParamSubspace(np.stack(rows)), "2b"),  # rank 0 for CP
+                 (ParamSubspace(np.stack([kossakowski_from_dissipation(r) for r in rows])), "1")]
+    sizes, central_path = [], cones._central_path
+    monkeypatch.setattr(cones, "_central_path",
+                        lambda mats: sizes.append(mats.shape[1]) or central_path(mats))
+    for v, label in thin:
+        sizes.clear()
+        assert classify_subspace(v).case_label == label
+        assert 2 in sizes
     checked = 0
-    for v in itertools.chain(_coordinate_subspaces(), random):
+    for v in itertools.chain(_coordinate_subspaces(), random, (v for v, _ in thin)):
         analysis = classify_subspace(v)
         for cone, extent, rank_zero in (
                 ("P", analysis.extent_p, analysis.case_label == "1"),
