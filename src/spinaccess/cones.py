@@ -16,9 +16,9 @@ facial reduction (Borwein and Wolkowicz 1981; Permenter and Parrilo 2018):
 either the subspace holds a definite matrix, or a nonzero PSD matrix Y is
 orthogonal to it and every admissible member lives on the face ker Y.  A
 log-det barrier, which is concave and has one maximizer, finds the central
-point and Y together; in 3x3 at most three reductions reach the answer.
-Only zero is admissible exactly when Y is definite, and then the depth of
-the unit-norm Y itself says how far that answer is from flipping.
+point and Y together; a span {x M} takes both exactly from M's eigenpairs.
+At most three reductions decide.  Only zero is admissible exactly when Y is
+definite, and then the depth of the unit-norm Y says how near it is to flipping.
 
 K is computed without search: the common zeros of the forms w^T B w split
 along singular members of their pencil (Richter-Gebert, Perspectives on
@@ -139,19 +139,24 @@ class IsotropicSpan:
     k_dim: int
 
 
+def _scaled(mats: np.ndarray) -> np.ndarray:
+    """Each matrix scaled exactly, by a power of two, to a largest entry in [1/2, 1)."""
+    return np.ldexp(mats, -np.frexp(np.abs(mats).max(axis=(-2, -1), keepdims=True))[1])
+
+
 def _is_psd(m: np.ndarray, tol: float) -> bool:
-    """lambda_min(m) >= -tol |m|_F, relative as the depth in classify_subspace
-    is, so the answer does not depend on the scale of m."""
+    """lambda_min(m) >= -tol |m|_F: relative, as the depth in classify_subspace is."""
     return bool(np.linalg.eigvalsh(m)[0] >= -tol * np.linalg.norm(m))
 
 
 def is_completely_positive(c: np.ndarray, tol: float = FEAS_TOL) -> bool:
     """True iff the coefficient matrix itself is PSD: lambda_min(C) >= -tol |C|_F."""
-    return _is_psd(require_symmetric(c, "kossakowski matrix"), tol)
+    return _is_psd(_scaled(require_symmetric(c, "kossakowski matrix")), tol)
 
 
 def is_positive(c: np.ndarray, tol: float = FEAS_TOL) -> bool:
     """True iff the dissipation matrix D(C) is PSD: lambda_min(D) >= -tol |D|_F."""
+    c = _scaled(require_symmetric(c, "kossakowski matrix"))  # D(c) cannot overflow
     return _is_psd(dissipation_from_kossakowski(c), tol)
 
 
@@ -159,12 +164,11 @@ def is_positive(c: np.ndarray, tol: float = FEAS_TOL) -> bool:
 # facial reduction
 # ---------------------------------------------------------------------------
 
-#: Barrier weights along the central path, 1 down to 1e-8.  Smaller weights
-#: make the Newton systems too ill-conditioned to follow a boundary face.
-#: Each weight is centred only roughly (squared Newton decrement below 1/16,
-#: inside the region where full steps converge quadratically), the last
-#: one fully (below 1e-12).
-_MU_PATH = 10.0 ** -np.arange(9)
+#: Barrier weights, each centred roughly (squared Newton decrement below 1/16,
+#: where full steps converge quadratically), the last fully (below 1e-12).  The
+#: last sets how well a face is known: at 1e-6 planted faces are lost, at 1e-12
+#: the Newton systems are too ill-conditioned to follow one (3a reads 2a).
+_MU_PATH = np.array([1.0, 1e-4, 1e-8])
 
 #: Eigenvalues of the trace-one dual at or below this span its kernel.  At
 #: the last barrier weight they are about 1e-8 on the face and of order one
@@ -182,16 +186,14 @@ _SYM_BASIS = np.stack([vec6_to_sym(row).reshape(9) for row in
 
 def _orthonormal(mats: np.ndarray) -> np.ndarray:
     """Frobenius-orthonormal basis of the span, each element normalized first."""
-    flat = mats.reshape(len(mats), -1)
-    # the norm squares the entries: scaled to at most one first, it cannot under- or overflow
-    flat = flat / np.abs(flat).max(axis=1, keepdims=True)
+    flat = _scaled(mats).reshape(len(mats), -1)  # the norm cannot under- or overflow
     flat = flat / np.linalg.norm(flat, axis=1, keepdims=True)
     _, sv, vt = np.linalg.svd(flat, full_matrices=False)
     return vt[: int(np.sum(sv > RANK_TOL * sv[0]))].reshape((-1,) + mats.shape[1:])
 
 
 def _central_path(mats: np.ndarray):
-    """Centre x and trace-one dual Y of max t s.t. sum_k x_k M_k >= t I, |x| <= 1.
+    """Centre x and trace-one dual Y of max t s.t. sum_k x_k M_k >= t I, |x| <= 1, m >= 2.
 
     Damped Newton steps follow the log-det barrier central path from
     (t, x) = (-1, 0), to a squared decrement below 1/16 at each weight mu of
@@ -228,6 +230,23 @@ def _central_path(mats: np.ndarray):
     return z[1:], y / np.trace(y)
 
 
+def _ray(member: np.ndarray, tol: float):
+    """_central_path's x and trace-one Y for one member M, exactly: if sigma M is PSD to depth
+    -tol, x = sigma = +-1, Y projects onto its eigenvectors at or below max(tol, lambda_min);
+    else x = 0, Y = (I + s M)^-1 at the root of d/ds prod(1 + s lambda_i) keeping it definite."""
+    vals, vecs = np.linalg.eigh(member)
+    sign = 1.0 if vals[0] + vals[-1] >= 0.0 else -1.0  # only the larger end's sign can be PSD
+    cut, low = tol * np.linalg.norm(member), (sign * vals).min()
+    if low >= -cut:
+        kernel = vecs[:, sign * vals <= max(low, cut)]
+        return np.array([sign]), kernel @ kernel.T / kernel.shape[1]
+    e1, e2, e3 = np.append(np.poly(-vals)[1:], 0.0)[:3].tolist()  # floats: a far root is inf
+    q = -(e2 + float(np.copysign(np.sqrt(e2 * e2 - 3.0 * e1 * e3), e2)))  # roots e1/q, q/3e3
+    s = max([e1 / q] + ([q / (3.0 * e3)] if e3 else []), key=lambda r: min(1.0 + r * vals))
+    y = (vecs / (1.0 + s * vals)) @ vecs.T
+    return np.zeros(1), y / np.trace(y)
+
+
 def _canonical(members: np.ndarray) -> np.ndarray:
     """Rotation taking orthonormal members to a basis fixed by their span alone.
 
@@ -257,14 +276,14 @@ def _face(members: np.ndarray, tol: float):
     orthonormal basis of the span's members supported on that face (see
     _canonical), and the coordinates on that basis of its central point; at
     rank 0, no members and the first pass's dual, 3x3 and definite, projected
-    onto the complement of the span.  While the central point of the
-    current face is not strictly feasible (depth at most ``tol``), the face
-    shrinks to the kernel of the dual; each pass drops at least one dimension.
+    onto the complement of the span.  While the central point of the current
+    face (from _ray for one member, else _central_path) is not strictly feasible
+    (depth at most ``tol``), the face shrinks to the dual's kernel, a dimension or more.
     """
     u, first = np.eye(3), None
     while len(members) and u.shape[1]:
         reduced = np.einsum("ia,kij,jb->kab", u, members, u)
-        x, dual = _central_path(reduced)
+        x, dual = _ray(reduced[0], tol) if len(members) == 1 else _central_path(reduced)
         if first is None:  # the one pass that sees the whole span
             first = dual - np.tensordot(np.tensordot(members, dual, 2), members, 1)
         centre = np.einsum("k,kab->ab", x, reduced)
@@ -281,12 +300,8 @@ def _face(members: np.ndarray, tol: float):
 
 def _analyze_cone(v: ParamSubspace, cone: str, tol: float):
     """Face rank, admissible span dimension, signed depth and witnesses."""
-    # each element scaled exactly, by a power of two, to entries below one,
-    # so that D(b) cannot overflow
-    _, exponent = np.frexp(np.abs(v.basis).max(axis=(1, 2), keepdims=True))
-    basis = np.ldexp(v.basis, -exponent)
-    images = basis if cone == "CP" else np.stack(
-        [dissipation_from_kossakowski(b) for b in basis])
+    images = v.basis if cone == "CP" else np.stack(  # scaled: D cannot overflow
+        [dissipation_from_kossakowski(b) for b in _scaled(v.basis)])
     rank, members, x_or_dual = _face(_orthonormal(images), tol)
     if rank == 0:  # minus the depth of the certificate
         return 0, 0, -float(np.linalg.eigvalsh(x_or_dual)[0] / np.linalg.norm(x_or_dual)), []

@@ -6,14 +6,16 @@ type given on the command line, each in a fresh process with
 
     PYTHONPATH=src python tests/classify_across_kernels.py Haswell Sandybridge
 
-The subspaces are the README one (3b, a boundary face, exit 2) and two with
-a cone that meets the PSD cone only at zero, whose extent comes from the
+The subspaces are the README one (3b, a boundary face, exit 2), two with a
+cone that meets the PSD cone only at zero, whose extent comes from the
 facial-reduction dual: the indefinite ray (case 1, both cones) and the
-near-definite ray (2b, the CP cone), both exit 0.  For each, the case
-label, n, n_p, n_cp, the ambiguity flag, the certificate and the exit code
-must be equal, and witnesses and extents must agree within 1e-12.  Bytes are not compared: the
-extents go through LAPACK ``eigvalsh``, whose last bits depend on the
-kernel.  Exits 1 on any difference.
+near-definite ray (2b, the CP cone), both exit 0, and the thin PSD ray
+span{diag(1, 1e-5, 0)} in the benchmark's frame C -> 1e3 Q C Q^T (3b, exit
+2), whose rank-2 CP face is read off the eigenpairs of its one member.  For
+each, the case label, n, n_p, n_cp, the ambiguity flag, the certificate and
+the exit code must be equal, and witnesses and extents must agree within
+1e-12.  Bytes are not compared: the extents go through LAPACK ``eigvalsh``,
+whose last bits depend on the kernel.  Exits 1 on any difference.
 """
 
 import json
@@ -24,13 +26,25 @@ import tempfile
 
 import numpy as np
 
+
+def _benchmark_frame(c) -> list:
+    """The (c11, c22, c33, c12, c13, c23) row of 1e3 Q C Q^T, Q the rotation
+    by 0.7 rad about (1, 2, 3) / sqrt(14), by Rodrigues' formula."""
+    x, y, z = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
+    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    q = np.eye(3) + np.sin(0.7) * k + (1.0 - np.cos(0.7)) * (k @ k)
+    m = 1e3 * q @ np.asarray(c, dtype=float) @ q.T
+    return [m[0, 0], m[1, 1], m[2, 2], m[0, 1], m[0, 2], m[1, 2]]
+
+
 #: Name and ``classify`` input of each subspace; the README one has every
-#: entry but c22 free, the rays are those of the pattern library.
+#: entry but c22 free, the first two rays are those of the pattern library.
 SUBSPACES = {
     "README": {"basis": [[1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0],
                          [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]]},
     "indefinite ray": {"basis": [[1, -1, 0, 0, 0, 0]]},
     "near-definite ray": {"basis": [[1, 1, -0.5, 0, 0, 0]]},
+    "thin PSD ray": {"basis": [_benchmark_frame(np.diag([1.0, 1e-5, 0.0]))]},
 }
 
 EXACT = ("case", "n", "n_p", "n_cp", "ambiguous", "certificate")

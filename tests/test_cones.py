@@ -94,14 +94,18 @@ def test_cone_membership_is_scale_free():
     # lambda_min is compared with the matrix norm: the indefinite
     # diag(1, -1e-3, 0), with lambda_min(C) and lambda_min(D) both -1e-3
     # relative to the norm, is refused at every scale, and the PSD members
-    # of the examples above are accepted at every scale
+    # of the examples above are accepted at every scale, up to the largest
+    # double, where D_ii = 2(c_jj + c_kk) overflows unless C is scaled first
     indefinite = np.diag([1.0, -1e-3, 0.0])
-    for scale in (1e-12, 1e-7, 1.0, 1e7):
-        assert not is_completely_positive(scale * indefinite)
-        assert not is_positive(scale * indefinite)
-        assert is_completely_positive(scale * np.eye(3))
-        assert is_positive(scale * np.array([[1.0, 0.1, 0.0], [0.1, 0.0, 0.0],
-                                             [0.0, 0.0, 1.0]]))
+    for scale in (1e-12, 1e-7, 1.0, 1e7, 1e308, 1.7e308):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not is_completely_positive(scale * indefinite)
+            assert not is_positive(scale * indefinite)
+            assert is_completely_positive(scale * np.eye(3))
+            assert is_positive(scale * np.eye(3))
+            assert is_positive(scale * np.array([[1.0, 0.1, 0.0], [0.1, 0.0, 0.0],
+                                                 [0.0, 0.0, 1.0]]))
     assert is_completely_positive(np.zeros((3, 3)))
     assert is_positive(np.zeros((3, 3)))
 
@@ -125,11 +129,31 @@ def test_extent_of_identity_ray():
 
 def test_extent_of_indefinite_ray():
     # the dual certifying that only zero is admissible is I / 3, orthogonal
-    # to diag(1, -1, 0): minus lambda_min of I / sqrt(3)
-    analysis = classify_subspace(ParamSubspace.from_vec6([[1, -1, 0, 0, 0, 0]]))
-    assert analysis.extent_cp < -1e-6
-    assert abs(analysis.extent_cp + 1.0 / np.sqrt(3.0)) < 1e-9
-    assert analysis.witnesses_cp == []
+    # to diag(1, -1, 0): minus lambda_min of I / sqrt(3); a third eigenvalue
+    # of 1e-200 moves the other root of the dual's equation out to about -1e200
+    for third in (0.0, 1e-200):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            analysis = classify_subspace(ParamSubspace.from_vec6([[1, -1, third, 0, 0, 0]]))
+        assert analysis.extent_cp < -1e-6
+        assert abs(analysis.extent_cp + 1.0 / np.sqrt(3.0)) < 1e-9
+        assert analysis.witnesses_cp == []
+
+
+def test_thin_psd_ray_is_a_boundary_face():
+    # span{Q diag(1, eps, 0) Q^T} is a PSD ray on a rank-2 face.  The barrier
+    # path's dual read about 1e-8 / eps on the eps direction at its last
+    # weight, above _DUAL_CUT, so the face lost that direction, the member
+    # fell off it, and the ray read 2b with n_cp 0 from eps = 3e-6 to 1e-4
+    rng = np.random.default_rng(17)
+    frames = [np.eye(3)] + [np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(10)]
+    for eps in (1e-4, 3e-5, 1e-5, 3e-6):
+        for q in frames:
+            c = q @ np.diag([1.0, eps, 0.0]) @ q.T
+            analysis = classify_subspace(ParamSubspace(c[None]))
+            assert (analysis.case_label, analysis.n_p, analysis.n_cp) == ("3b", 1, 1), eps
+            assert (analysis.n_cp == 1) == is_completely_positive(c), eps
+            assert is_completely_positive(analysis.witnesses_cp[0]), eps
 
 
 def test_extent_positive_for_spin_field_pattern():
@@ -374,9 +398,10 @@ def _coordinate_subspaces():
 
 
 def test_rough_centring_keeps_the_verdicts_of_full_centring(monkeypatch):
-    # centring the weights before the last one only to a decrement of 1/16
-    # keeps every verdict and moves no extent by more than 1e-12, in fewer
-    # Newton steps; each step factors the Newton matrix once by QR
+    # three weights four decades apart, each but the last centred only to a
+    # decrement of 1/16, keep every verdict of nine fully centred weights and
+    # move no extent by more than 1e-12, in fewer Newton steps; each step
+    # factors the Newton matrix once by QR
     steps = [0]
     qr = np.linalg.qr
 
@@ -398,6 +423,41 @@ def test_rough_centring_keeps_the_verdicts_of_full_centring(monkeypatch):
         assert abs(ours.extent_cp - theirs.extent_cp) <= 1e-12
 
 
+def _rays():
+    """Rays of every sign and rank pattern, none near flipping, each in three
+    random frames at scales 1e-6..1e6."""
+    rng = np.random.default_rng(17)
+    for d in ([1, 1, 1], [1, 0.5, 0], [1, 0, 0], [-1, -0.3, 0], [-1, -1, -0.2],
+              [1, -1, 0], [1, 1, -0.5], [2, -1, -0.5], [1, -0.1, 0], [0.3, -1, 0]):
+        for _ in range(3):
+            q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+            yield ParamSubspace((10.0 ** rng.uniform(-6.0, 6.0) * q @ np.diag(d) @ q.T)[None])
+
+
+def test_exact_rays_match_full_centring(monkeypatch):
+    # a one-member problem is solved from its eigenpairs; the fully centred
+    # path on the same problem gives the same face rank, centre sign (through
+    # the witnesses), case and extent, rank-0 extents included
+    rays = list(_rays())
+    exact = [(classify_subspace(v), [cones._analyze_cone(v, cone, cones.FEAS_TOL)
+                                     for cone in ("P", "CP")]) for v in rays]
+    monkeypatch.setattr(cones, "_ray", lambda member, tol: _fully_centred_path(member[None]))
+    cases = set()
+    for v, (ours, our_cones) in zip(rays, exact):
+        theirs = classify_subspace(v)
+        assert ((ours.case_label, ours.n_p, ours.n_cp)
+                == (theirs.case_label, theirs.n_p, theirs.n_cp))
+        cases.add(ours.case_label)
+        for cone, (rank, n, extent, witnesses) in zip(("P", "CP"), our_cones):
+            other = cones._analyze_cone(v, cone, cones.FEAS_TOL)
+            assert (rank, n) == other[:2]
+            assert abs(extent - other[2]) <= 1e-12
+            assert len(witnesses) == len(other[3])
+            for w, u in zip(witnesses, other[3]):
+                assert np.abs(w - u).max() <= 1e-12
+    assert cases == {"1", "2b", "3a", "3b", "3c"}
+
+
 def _complement_extent(v, cone):
     """Minus lambda_min of the unit-norm central member of the orthogonal
     complement of the cone image of v, among the symmetric matrices."""
@@ -415,7 +475,8 @@ def test_rank_zero_extent_lies_between_complement_depth_and_zero(monkeypatch):
     # most as deep as the complement's deepest member, and definite; the
     # complements of rank-0 coordinate patterns all hold I, random subspaces
     # give the bound room, and in the thin pairs below facial reduction
-    # reaches rank 0 only at a second pass, in 2x2 face coordinates
+    # reaches rank 0 only at a second pass, in 2x2 face coordinates, where
+    # one member is left and _ray solves it
     rng = np.random.default_rng(16)
     random = [ParamSubspace(a + a.transpose(0, 2, 1))
               for a in (rng.standard_normal((rng.integers(1, 7), 3, 3)) for _ in range(100))]
@@ -424,9 +485,10 @@ def test_rank_zero_extent_lies_between_complement_depth_and_zero(monkeypatch):
         rows = [vec6_to_sym(r) for r in ([1, -1, 0, 0, 0, 0], [1, 1, eps, 0, 0, 0])]
         thin += [(ParamSubspace(np.stack(rows)), "2b"),  # rank 0 for CP
                  (ParamSubspace(np.stack([kossakowski_from_dissipation(r) for r in rows])), "1")]
-    sizes, central_path = [], cones._central_path
-    monkeypatch.setattr(cones, "_central_path",
-                        lambda mats: sizes.append(mats.shape[1]) or central_path(mats))
+    sizes = []  # the face size of each facial-reduction pass, whichever solves it
+    for name in ("_central_path", "_ray"):
+        monkeypatch.setattr(cones, name, lambda mats, *tol, solve=getattr(cones, name):
+                            sizes.append(mats.shape[-1]) or solve(mats, *tol))
     for v, label in thin:
         sizes.clear()
         assert classify_subspace(v).case_label == label
