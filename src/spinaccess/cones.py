@@ -20,10 +20,10 @@ point and Y together; a span {x M} takes both exactly from M's eigenpairs.
 At most three reductions decide.  Only zero is admissible exactly when Y is
 definite, and then the depth of the unit-norm Y says how near it is to flipping.
 
-K is computed without search: the common zeros of the forms w^T B w split
-along singular members of their pencil (Richter-Gebert, Perspectives on
-Projective Geometry, 2011, ch. 11).  The basis returned for K is
-orthonormal, and isotropic itself only when K is a line.
+K is computed by a finite recursion: the common zeros of the forms w^T B w
+split, exactly to rounding, along singular members of their pencil
+(Richter-Gebert, Perspectives on Projective Geometry, 2011, ch. 11).  The
+basis returned for K is orthonormal, and isotropic only when K is a line.
 """
 
 from dataclasses import dataclass
@@ -382,56 +382,37 @@ def classify_subspace(v: ParamSubspace, tol: float = FEAS_TOL) -> ConeAnalysis:
 #: A unit-norm form vanishes on a subspace when its restriction is this small.
 _ISOTROPIC_TOL = 1e-8
 
-#: Directions, and linear quantities of them such as B w, are known to about
-#: sqrt(eps) at a tangency; above this they count as nonzero.
+#: Directions, and linear quantities of them such as B w, count as nonzero
+#: above this, and so do gaps between pencil roots, relative to max(1, |root|):
+#: a multiple root's lie up to 5.3e-7 apart (bases of condition <= 100).
 _DIRECTION_TOL = 1e-6
 
-#: Gauss-Newton starts only from directions with at most this residual.
-_NEAR_HIT = 1e-3
-
-#: A form is singular when |smallest eigenvalue| <= this * |largest|.
-_SINGULAR_CUT = 1e-12
-
-
-def _polish(forms: np.ndarray, w: np.ndarray):
-    """Refine a unit direction onto the common zeros of the forms, or None.
-
-    Gauss-Newton steps are taken orthogonal to w, from near-hits only, and
-    the best iterate is kept: at a tangency convergence is only linear, and
-    where every form has w in its kernel the Jacobian vanishes.
-    """
-    best, best_res = None, np.inf
-    for _ in range(40):
-        res = np.einsum("i,kij,j->k", w, forms, w)
-        if np.abs(res).max() < best_res:
-            best, best_res = w, np.abs(res).max()
-        if not 1e-16 < best_res <= _NEAR_HIT:
-            break
-        jac = 2.0 * np.einsum("kij,j->ki", forms, w)
-        jac -= np.outer(jac @ w, w)
-        w = w - np.linalg.lstsq(jac, res, rcond=None)[0]
-        w /= np.linalg.norm(w)
-    return best if best_res <= _ISOTROPIC_TOL else None
+#: Rounding-level cut: a form, or its largest pair of eigenvalues, is singular
+#: when |smaller| <= this * |larger|.  The zeros of {x^2 + y^2 - z^2,
+#: (x - (1 - d) z)(x + 2 z)}, 2 sqrt(d) apart, read as two down to d = 1e-12
+#: in 30 random frames; a cut of 1e-12 merges them at d = 1e-12 in 15 of the
+#: frames, and one of _ISOTROPIC_TOL in some from d = 1e-8.
+_SINGULAR_CUT = 1e-14
 
 
 def _split(g: np.ndarray) -> list:
     """Subspaces whose union holds the zeros of g, in g's coordinates.
 
     The kernel of g is spanned by its eigenvectors past the two of largest
-    magnitude.  If that pair is indefinite, each of its null directions
-    joins the kernel; if it is nearly singular, its second direction does.
-    Erring large is safe: every piece is searched again with every form.
+    magnitude.  If that pair is singular at _SINGULAR_CUT, its second
+    direction joins the kernel; if indefinite, each of its null directions
+    does, one piece each.  Every piece is searched again with every form.
     """
     vals, vecs = np.linalg.eigh(g)
     order = np.argsort(-np.abs(vals))
     vals, vecs = vals[order] / vals[order[0]], vecs[:, order]
     second, kernel = vals[1], vecs[:, 2:]
+    if abs(second) <= _SINGULAR_CUT:
+        return [vecs[:, 1:]]
     if second < 0.0:
         r = np.sqrt(-second)
         return [np.column_stack([(r * vecs[:, 0] + s * vecs[:, 1]) / np.hypot(r, 1.0), kernel])
                 for s in (1.0, -1.0)]
-    if second <= _ISOTROPIC_TOL:
-        return [vecs[:, 1:]]
     return [kernel] if kernel.shape[1] else []
 
 
@@ -439,30 +420,32 @@ def _singular_member(forms: np.ndarray):
     """A singular member of the span of the forms, or None for one nonsingular form.
 
     Either of the first two forms, when singular; otherwise the pencil member
-    g1 + lambda g2 at the real root of det(g1 + lambda g2) farthest from the
-    other roots, which is the one known to full precision.
+    a + lambda b, b the better conditioned of the two, at the real root of
+    det(a + lambda b) farthest from the other roots.  A simple root is known
+    to full precision; each of a multiple one is off by about sqrt(eps), so
+    it is taken as the mean of the roots within _DIRECTION_TOL of it.
     """
-    first = forms[:2]
-    vals = np.abs(np.linalg.eigvalsh(first))
-    singular = vals.min(axis=1) <= _SINGULAR_CUT * vals.max(axis=1)
-    if singular.any():
-        return first[np.argmax(singular)]
+    vals = np.abs(np.linalg.eigvalsh(forms[:2]))
+    ratio = vals.min(axis=1) / vals.max(axis=1)
+    if ratio.min() <= _SINGULAR_CUT:
+        return forms[ratio.argmin()]
     if len(forms) == 1:
         return None
-    roots = -np.linalg.eigvals(np.linalg.solve(forms[1], forms[0]))
+    a, b = forms[:2] if ratio[1] >= ratio[0] else forms[1::-1]
+    roots = -np.linalg.eigvals(np.linalg.solve(b, a))
     gaps = [np.min(np.abs(np.delete(roots, i) - root)) for i, root in enumerate(roots)]
     pick = max((i for i in range(3) if roots[i].imag == 0.0), key=lambda i: gaps[i])
-    return forms[0] + roots[pick].real * forms[1]
+    cluster = np.abs(roots - roots[pick]) <= _DIRECTION_TOL * max(1.0, abs(roots[pick]))
+    return a + roots[cluster].mean().real * b
 
 
 def _pieces(forms: np.ndarray, u: np.ndarray) -> list:
     """Orthonormal bases of subspaces of range(u) whose span is that of the common zeros in it."""
-    if u.shape[1] == 1:
-        w = _polish(forms, u[:, 0])
-        return [] if w is None else [w[:, None]]
     restricted = np.einsum("ia,kij,jb->kab", u, forms, u)
     if np.linalg.norm(restricted, axis=(1, 2)).max() <= _ISOTROPIC_TOL:
         return [u]
+    if u.shape[1] == 1:
+        return []
     g = (np.linalg.svd(restricted.reshape(len(forms), 4))[2][0].reshape(2, 2)
          if u.shape[1] == 2 else _singular_member(forms))
     if g is None:  # one nonsingular form: its zeros are {0} or a cone spanning R^3
@@ -475,8 +458,9 @@ def isotropic_span(v: ParamSubspace) -> IsotropicSpan:
     """Span K of the directions w with w^T B w = 0 for every member B.
 
     The zeros of a singular member lie in at most two proper subspaces; each
-    is searched again with every form, down to lines refined by Gauss-Newton.
-    Nothing depends on the basis, scale or frame of the subspace.
+    is searched again with every form, down to lines kept exactly when every
+    form vanishes on them at _ISOTROPIC_TOL.  Nothing depends on the basis,
+    scale or frame of the subspace.
     """
     pieces = _pieces(_orthonormal(v.basis), np.eye(3))
     left, sv, _ = np.linalg.svd(np.hstack([np.zeros((3, 0))] + pieces))

@@ -28,15 +28,18 @@ MAX_SAMPLES = 1_000_000
 
 @dataclass
 class ControlSchedule:
-    """Ordered piecewise-constant control: segments of (duration, u)."""
+    """Ordered piecewise-constant control: segments of (duration, u), each
+    duration positive and finite and each control u finite."""
 
     segments: list  # [(duration, u), ...]
 
     def __post_init__(self):
         segs = [(float(t), float(u)) for t, u in self.segments]
-        for t, _ in segs:
+        for t, u in segs:
             if not np.isfinite(t) or t <= 0.0:
                 raise ValueError(f"segment durations must be positive, got {t}")
+            if not np.isfinite(u):
+                raise ValueError(f"segment controls must be finite, got {u}")
         self.segments = segs
 
     @property
@@ -124,14 +127,17 @@ def propagate(l: np.ndarray, v0: np.ndarray, t) -> np.ndarray:
     ``t`` is one time, giving one state (3,), or an array of times, giving
     one state per time, (..., 3).  The exponentials of PROPAGATE_BLOCK
     times are computed per ``expm`` call, and every state equals the one
-    propagated for its time alone.
+    propagated for its time alone.  A negative or non-finite time and a
+    non-finite generator or state raise ValueError before any work.
     """
     times = np.asarray(t, dtype=float)
-    negative = times[times < 0]
-    if negative.size:
-        raise ValueError(f"propagation time must be nonnegative, got {negative[0]}")
+    bad = times[~(np.isfinite(times) & (times >= 0.0))]
+    if bad.size:
+        raise ValueError(f"propagation time must be finite and nonnegative, got {bad[0]}")
     l = np.asarray(l, dtype=float)
     v0 = np.asarray(v0, dtype=float)
+    if not (np.isfinite(l).all() and np.isfinite(v0).all()):
+        raise ValueError("generator and initial state must be finite")
     flat = times.reshape(-1)
     out = np.empty((len(flat), 3))
     for lo in range(0, len(flat), PROPAGATE_BLOCK):

@@ -53,7 +53,7 @@ def lie_closure(generators) -> LieClosure:
     Parameters
     ----------
     generators : iterable of np.ndarray
-        At least one 3x3 matrix, not all zero.
+        At least one finite 3x3 matrix, not all zero.
     """
     gens = [np.asarray(g, dtype=float) for g in generators]
     if not gens:
@@ -62,6 +62,8 @@ def lie_closure(generators) -> LieClosure:
         if g.shape != (3, 3):
             raise ValueError(f"generators must be 3x3, got shape {g.shape}")
     rows = np.stack([g.reshape(9) for g in gens])
+    if not np.isfinite(rows).all():
+        raise ValueError("generators must be finite")
     norms = np.linalg.norm(rows, axis=1)
     if not norms.any():
         raise ValueError("all generators vanish")

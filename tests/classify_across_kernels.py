@@ -11,7 +11,11 @@ cone that meets the PSD cone only at zero, whose extent comes from the
 facial-reduction dual: the indefinite ray (case 1, both cones) and the
 near-definite ray (2b, the CP cone), both exit 0, and the thin PSD ray
 span{diag(1, 1e-5, 0)} in the benchmark's frame C -> 1e3 Q C Q^T (3b, exit
-2), whose rank-2 CP face is read off the eigenpairs of its one member.  For
+2), whose rank-2 CP face is read off the eigenpairs of its one member, and
+the parabola touch span{xz - y^2, x^2} in the same frame (3b, exit 2,
+certificate condition1).  The conics of the parabola touch meet in one
+direction with contact of order four, so its isotropic span rests on
+treating the pencil's rank-one member as singular to rounding level.  For
 each, the case label, n, n_p, n_cp, the ambiguity flag, the certificate and
 the exit code must be equal, and witnesses and extents must agree within
 1e-12.  Bytes are not compared: the extents go through LAPACK ``eigvalsh``,
@@ -45,6 +49,9 @@ SUBSPACES = {
     "indefinite ray": {"basis": [[1, -1, 0, 0, 0, 0]]},
     "near-definite ray": {"basis": [[1, 1, -0.5, 0, 0, 0]]},
     "thin PSD ray": {"basis": [_benchmark_frame(np.diag([1.0, 1e-5, 0.0]))]},
+    "parabola touch": {"basis": [_benchmark_frame([[0.0, 0.0, 0.5], [0.0, -1.0, 0.0],
+                                                   [0.5, 0.0, 0.0]]),
+                                 _benchmark_frame(np.diag([1.0, 0.0, 0.0]))]},
 }
 
 EXACT = ("case", "n", "n_p", "n_cp", "ambiguous", "certificate")

@@ -255,6 +255,47 @@ def test_tangent_slice_spans_three_dimensions():
     assert analysis.n_cp == 3
 
 
+def _line_pair_rows(c):
+    """span{x^2 + y^2 - z^2, (x - c z)(x + 2 z)}: the line x = c z cuts the
+    circle in two real points for c < 1 and misses it for c > 1; the line
+    x = -2 z misses it."""
+    return [[1, 1, -1, 0, 0, 0], [1, 0, -2 * c, 0, 1 - c / 2, 0]]
+
+
+#: Pencils whose conics touch, and near-tangent ones, with k_dim and certificate
+#: by hand.  The first four meet in one direction with contact of order four,
+#: the hyper-osculating pair in e3 (order three) and e2; a circle and a line
+#: pair meeting in two directions 2 sqrt(delta) apart span the plane of
+#: them, and missing the circle by delta they have no common zero.
+_TANGENT_PENCILS = [
+    ("circle plus squared tangent", [[1, 1, -1, 0, 0, 0], [1, 0, 1, 0, -1, 0]], 1,
+     "condition1"),
+    ("circle plus squared tangent, another basis",
+     [[1, 1, -1, 0, 0, 0], [1.5, 1, -0.5, 0, -0.5, 0]], 1, "condition1"),
+    ("parabola touch", [[0, -1, 0, 0, 0.5, 0], [1, 0, 0, 0, 0, 0]], 1, "condition1"),
+    ("osculating", [[-1, 0, 0, 0, 0, 0.5], [0, 1, 0, 0, 0, 0]], 1, "condition1"),
+    ("hyper-osculating", [[-1, 0, 0, 0, 0, 0.5], [0, 0, 0, 0.5, 0, 0]], 2, "condition2"),
+] + [(f"two points, delta {d:g}", _line_pair_rows(1.0 - d), 2, "condition2")
+     for d in 10.0 ** -np.arange(2.0, 12.0)] + [
+    (f"no point, delta {d:g}", _line_pair_rows(1.0 + d), 0, "none")
+    for d in 10.0 ** -np.arange(2.0, 12.0, 3.0)]
+
+
+@pytest.mark.parametrize("rows,k_dim,verdict", [p[1:] for p in _TANGENT_PENCILS],
+                         ids=[p[0] for p in _TANGENT_PENCILS])
+def test_tangent_pencils_read_the_same_in_every_frame(rows, k_dim, verdict):
+    # the pencil splits along singular members exact to rounding, so contact
+    # of any order gives one answer in every frame and at every element scale
+    basis = np.stack([vec6_to_sym(np.asarray(r, dtype=float)) for r in rows])
+    rng = np.random.default_rng(18)
+    for k in range(24):
+        q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        q[:, 0] *= np.linalg.det(q) * (-1.0) ** k  # proper and improper in turn
+        scales = 10.0 ** rng.uniform(-3.0, 3.0, len(basis))
+        v = ParamSubspace(np.stack([s * q @ b @ q.T for s, b in zip(scales, basis)]))
+        assert (isotropic_span(v).k_dim, rank_drop_certificate(v)) == (k_dim, verdict), k
+
+
 # ---------------------------------------------------------------------------
 # invariance of the classification under rewriting the same subspace
 # ---------------------------------------------------------------------------
@@ -291,6 +332,10 @@ _SETTINGS = settings(deadline=None)
 
 @_SETTINGS
 @given(index=_PATTERN_INDEX, frame=arrays(float, (3, 3), elements=_UNIT_ENTRIES))
+# a 45-degree rotation with a reflection, whose conjugate of E12 + E21 is
+# diag(1, -1, 0) with 6.7e-17 off the diagonal
+@example(index=[p[0] for p in PATTERNS].index("diagonal plus own coupling"),
+         frame=np.array([[1.0, 0, 0], [1, 0, 0], [0, 0, 0]]))
 def test_classification_survives_orthogonal_conjugation(index, frame):
     q = np.linalg.qr(frame)[0]  # orthogonal even when the frame is singular
     v = build(PATTERNS[index][1])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -128,6 +129,12 @@ def test_nonpositive_durations_rejected():
         ControlSchedule([(0.0, 1.0)])
     with pytest.raises(ValueError):
         ControlSchedule([(-1.0, 0.0)])
+
+
+@pytest.mark.parametrize("u", [float("nan"), float("inf"), -float("inf")])
+def test_nonfinite_controls_rejected(u):
+    with pytest.raises(ValueError, match="controls must be finite"):
+        ControlSchedule([(1.0, 1.0), (1.0, u)])
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.1, float("nan")])
@@ -316,6 +323,22 @@ def test_stacked_expm_and_propagate_equal_single_calls_bitwise():
 def test_propagate_rejects_negative_times():
     with pytest.raises(ValueError, match="-0.5"):
         propagate(np.eye(3), [0.1, 0, 0], [0.0, 1.0, -0.5])
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), [0.0, 1.0, float("nan")]])
+def test_propagate_rejects_nonfinite_times(t):
+    # refused before any exponential is taken, so without RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            propagate(-np.eye(3), [0.1, 0, 0], t)
+
+
+def test_propagate_rejects_nonfinite_generator_and_state():
+    with pytest.raises(ValueError, match="must be finite"):
+        propagate(np.full((3, 3), np.nan), [0.1, 0, 0], 1.0)
+    with pytest.raises(ValueError, match="must be finite"):
+        propagate(-np.eye(3), [np.inf, 0, 0], 1.0)
 
 
 def reference_evolve_schedule(h, d, sched, v0, dt):

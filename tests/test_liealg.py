@@ -26,6 +26,9 @@ def test_lie_closure_rejects_malformed_generators():
         lie_closure([np.eye(3), np.eye(2)])
     with pytest.raises(ValueError, match="vanish"):
         lie_closure([np.zeros((3, 3)), np.zeros((3, 3))])
+    for gens in ([np.full((3, 3), np.nan)], [np.eye(3), np.diag([1.0, np.inf, 0.0])]):
+        with pytest.raises(ValueError, match="finite"):
+            lie_closure(gens)
 
 
 def span_contains(closure, mat, tol=1e-9):
