@@ -16,8 +16,10 @@ facial reduction (Borwein and Wolkowicz 1981; Permenter and Parrilo 2018):
 either the subspace holds a definite matrix, or a nonzero PSD matrix Y is
 orthogonal to it and every admissible member lives on the face ker Y.  A
 log-det barrier, which is concave and has one maximizer, finds the central
-point and Y together; a span {x M} takes both exactly from M's eigenpairs.
-At most three reductions decide.  Only zero is admissible exactly when Y is
+point and Y together on 3x3 faces.  Smaller passes take both exactly: a span
+{x M} from M's eigenpairs, and a span on a 2x2 face from the projection of I
+onto it, since the PSD cone of Sym(2) is a Lorentz cone about I.  At most
+three reductions decide.  Only zero is admissible exactly when Y is
 definite, and then the depth of the unit-norm Y says how near it is to flipping.
 
 K is computed by a finite recursion: the common zeros of the forms w^T B w
@@ -193,7 +195,8 @@ def _orthonormal(mats: np.ndarray) -> np.ndarray:
 
 
 def _central_path(mats: np.ndarray):
-    """Centre x and trace-one dual Y of max t s.t. sum_k x_k M_k >= t I, |x| <= 1, m >= 2.
+    """Centre x and trace-one dual Y of max t s.t. sum_k x_k M_k >= t I, |x| <= 1, for
+    two or more 3x3 members: smaller problems have the closed forms of _ray and _plane.
 
     Damped Newton steps follow the log-det barrier central path from
     (t, x) = (-1, 0), to a squared decrement below 1/16 at each weight mu of
@@ -203,10 +206,10 @@ def _central_path(mats: np.ndarray):
     is solved through a QR factor of its square root, which keeps the small
     curvature of the ball term that the explicit Hessian loses.
     """
-    m, r = mats.shape[:2]
-    a = np.concatenate([-np.eye(r)[None], mats])  # Z = sum_i z_i a_i, z = (t, x)
+    m = len(mats)
+    a = np.concatenate([-np.eye(3)[None], mats])  # Z = sum_i z_i a_i, z = (t, x)
     z = np.concatenate([[-1.0], np.zeros(m)])
-    eye, newton = np.eye(m), np.zeros((r * r + m, m + 1))  # root of the Newton matrix
+    eye, newton = np.eye(m), np.zeros((9 + m, m + 1))  # root of the Newton matrix
     for mu in _MU_PATH:
         for _ in range(50):
             x = z[1:]
@@ -217,9 +220,9 @@ def _central_path(mats: np.ndarray):
             grad = np.einsum("kaa->k", scaled)
             grad[0] += 1.0 / mu
             grad[1:] -= 2.0 * x / s
-            newton[: r * r] = scaled.reshape(m + 1, -1).T
+            newton[:9] = scaled.reshape(m + 1, -1).T
             c = 2.0 / (s * (1.0 + np.sqrt(1.0 + 2.0 * (x @ x) / s)))  # no cancellation
-            newton[r * r:, 1:] = np.sqrt(2.0 / s) * (eye + c * x[:, None] * x)  # ball root
+            newton[9:, 1:] = np.sqrt(2.0 / s) * (eye + c * x[:, None] * x)  # ball root
             rr = np.linalg.qr(newton, mode="r")
             step = np.linalg.solve(rr, np.linalg.solve(rr.T, grad))
             dec = float(grad @ step)  # squared Newton decrement
@@ -245,6 +248,30 @@ def _ray(member: np.ndarray, tol: float):
     s = max([e1 / q] + ([q / (3.0 * e3)] if e3 else []), key=lambda r: min(1.0 + r * vals))
     y = (vecs / (1.0 + s * vals)) @ vecs.T
     return np.zeros(1), y / np.trace(y)
+
+
+def _plane(members: np.ndarray, tol: float):
+    """_central_path's x and trace-one Y for two or three orthonormal members of Sym(2), exactly.
+
+    A unit member with part p along I/sqrt(2) and q off it has lambda_min
+    (p - |q|)/sqrt(2), so the deepest unit member is X, the normalized
+    projection of I onto the span.  Its coordinates are the members' traces,
+    and by symmetry about I the barrier path's centre lies on the same ray.
+    Three members span Sym(2): X = I/sqrt(2) and Y = I/2.  If X is PSD to
+    depth -tol, x is X's coordinates and Y is _ray's projector onto ker X.
+    Otherwise the span meets the PSD cone only at 0, x = 0, and Y is the
+    span's normal, I minus its projection, which is then definite because
+    the cone is self-dual.
+    """
+    traces = np.einsum("kaa->k", members)
+    if len(members) == 3:
+        return traces / np.linalg.norm(traces), 0.5 * np.eye(2)
+    projection = np.einsum("k,kab->ab", traces, members)
+    x, dual = _ray(projection, tol)  # sign +: the trace of the projection is |traces|^2
+    if traces.any() and x[0]:
+        return traces / np.linalg.norm(traces), dual
+    normal = np.eye(2) - projection
+    return np.zeros(2), normal / np.trace(normal)
 
 
 def _canonical(members: np.ndarray) -> np.ndarray:
@@ -277,13 +304,16 @@ def _face(members: np.ndarray, tol: float):
     _canonical), and the coordinates on that basis of its central point; at
     rank 0, no members and the first pass's dual, 3x3 and definite, projected
     onto the complement of the span.  While the central point of the current
-    face (from _ray for one member, else _central_path) is not strictly feasible
-    (depth at most ``tol``), the face shrinks to the dual's kernel, a dimension or more.
+    face is not strictly feasible (depth at most ``tol``), the face shrinks to
+    the dual's kernel, a dimension or more.  A pass takes its centre and dual
+    from _ray for one member, from _plane for more on a 2x2 face, and from
+    _central_path otherwise, so only the 3x3 passes follow the barrier path.
     """
     u, first = np.eye(3), None
     while len(members) and u.shape[1]:
         reduced = np.einsum("ia,kij,jb->kab", u, members, u)
-        x, dual = _ray(reduced[0], tol) if len(members) == 1 else _central_path(reduced)
+        x, dual = (_ray(reduced[0], tol) if len(members) == 1 else
+                   _plane(reduced, tol) if u.shape[1] == 2 else _central_path(reduced))
         if first is None:  # the one pass that sees the whole span
             first = dual - np.tensordot(np.tensordot(members, dual, 2), members, 1)
         centre = np.einsum("k,kab->ab", x, reduced)

@@ -13,7 +13,10 @@ near-definite ray (2b, the CP cone), both exit 0, and the thin PSD ray
 span{diag(1, 1e-5, 0)} in the benchmark's frame C -> 1e3 Q C Q^T (3b, exit
 2), whose rank-2 CP face is read off the eigenpairs of its one member, and
 the parabola touch span{xz - y^2, x^2} in the same frame (3b, exit 2,
-certificate condition1).  The conics of the parabola touch meet in one
+certificate condition1), and the corner plus coupling, rows {c33, c12}, in
+that frame too (3a, exit 2, certificate condition2), whose P cone takes the
+closed-form pass for two members on a 2x2 face; the README subspace takes
+the one for three.  The conics of the parabola touch meet in one
 direction with contact of order four, so its isotropic span rests on
 treating the pencil's rank-one member as singular to rounding level.  For
 each, the case label, n, n_p, n_cp, the ambiguity flag, the certificate and
@@ -52,6 +55,9 @@ SUBSPACES = {
     "parabola touch": {"basis": [_benchmark_frame([[0.0, 0.0, 0.5], [0.0, -1.0, 0.0],
                                                    [0.5, 0.0, 0.0]]),
                                  _benchmark_frame(np.diag([1.0, 0.0, 0.0]))]},
+    "corner plus coupling": {"basis": [_benchmark_frame(np.diag([0.0, 0.0, 1.0])),
+                                       _benchmark_frame([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0],
+                                                         [0.0, 0.0, 0.0]])]},
 }
 
 EXACT = ("case", "n", "n_p", "n_cp", "ambiguous", "certificate")

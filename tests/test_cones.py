@@ -156,6 +156,21 @@ def test_thin_psd_ray_is_a_boundary_face():
             assert is_completely_positive(analysis.witnesses_cp[0]), eps
 
 
+@pytest.mark.xfail(strict=True, reason="the first facial-reduction pass has two or three "
+                   "members and the barrier path's dual misses the rank-1 face")
+@pytest.mark.parametrize("rows", [
+    [[1, 1e-5, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0]],  # span{diag(1, 1e-5, 0), E13 + E31}
+    [[1, 1, -1, 0, 0, 0], [1, 0, 1, 0, -1, 0]],  # span{diag(1, 1, -1), (e1 - e3)(e1 - e3)^T}
+    [[1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0]],  # span{E11, E12+E21, E22+E13+E31}
+], ids=["thin diagonal and coupling", "triple pencil root", "three members"])
+def test_thin_faces_behind_a_two_step_reduction_are_found(rows):
+    # each span's only PSD members form one ray, a diag(1, 1e-5, 0),
+    # a (e1 - e3)(e1 - e3)^T or a E11 with a >= 0, so CP is confined to a
+    # rank-1 or rank-2 face: 3b with n_cp 1
+    analysis = classify_subspace(ParamSubspace.from_vec6(rows))
+    assert (analysis.case_label, analysis.n_cp) == ("3b", 1)
+
+
 def test_extent_positive_for_spin_field_pattern():
     v = ParamSubspace.from_free_entries(["c11", "c33", "c12", "c13", "c23"])
     assert classify_subspace(v).extent_p > 1e-6
@@ -501,6 +516,88 @@ def test_exact_rays_match_full_centring(monkeypatch):
             for w, u in zip(witnesses, other[3]):
                 assert np.abs(w - u).max() <= 1e-12
     assert cases == {"1", "2b", "3a", "3b", "3c"}
+
+
+#: Frobenius-orthonormal basis of Sym(2): I/sqrt(2), then the two traceless directions.
+_SYM2 = np.stack([np.eye(2), np.diag([1.0, -1.0]), [[0.0, 1.0], [1.0, 0.0]]]) / np.sqrt(2.0)
+
+
+def _plane_through(angle, rng):
+    """A random orthonormal basis of the plane of Sym(2) whose unit normal makes
+    the given angle with I: it meets the PSD cone's interior above 45 degrees,
+    touches it at 45 and misses it below, and is traceless at 0."""
+    turn = rng.uniform(0.0, 2.0 * np.pi)
+    normal = np.array([np.cos(angle), np.sin(angle) * np.cos(turn), np.sin(angle) * np.sin(turn)])
+    mix = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+    return np.einsum("kl,la,aij->kij", mix, np.linalg.svd(normal[None])[2][1:], _SYM2)
+
+
+def _planted_faces():
+    """(outcome, members) of 2x2 facial-reduction passes of every outcome.  The
+    interior planes keep away from I, where X = I/sqrt(2) has a double
+    eigenvalue and no one eigenvector is its lowest."""
+    rng = np.random.default_rng(19)
+    for degrees in (80, 60, 50, 46):
+        for _ in range(3):
+            yield "interior", _plane_through(np.radians(degrees), rng)
+    corner = np.stack([np.diag([1.0, 0.0]), _SYM2[2]])  # {E11, E12 + E21}, orthonormal
+    for _ in range(6):
+        yield "tangent", _plane_through(np.pi / 4, rng)
+        r, mix = (np.linalg.qr(rng.standard_normal((2, 2)))[0] for _ in range(2))
+        yield "tangent", np.einsum("kl,lij->kij", mix, r @ corner @ r.T)
+    for degrees in (35, 20, 0, 0):
+        for _ in range(3):
+            yield "missing", _plane_through(np.radians(degrees), rng)
+    for _ in range(3):
+        yield "all", np.einsum("kl,lij->kij", np.linalg.qr(rng.standard_normal((3, 3)))[0], _SYM2)
+
+
+def test_two_by_two_faces_match_full_centring():
+    # a pass on a 2x2 face is solved in closed form: the centre direction
+    # agrees with the fully centred path's, or both centres fail the depth
+    # test, and both duals have the same kernel at _DUAL_CUT; a missing
+    # plane's dual is definite and orthogonal to the plane
+    def kernel(dual):
+        vals, vecs = np.linalg.eigh(dual)
+        return vecs[:, vals <= cones._DUAL_CUT] @ vecs[:, vals <= cones._DUAL_CUT].T
+
+    outcomes = set()
+    for outcome, members in _planted_faces():
+        x, dual = cones._plane(members, cones.FEAS_TOL)
+        path_x, path_dual = _fully_centred_path(members)
+        assert np.abs(kernel(dual) - kernel(path_dual)).max() <= 1e-12, outcome
+        assert abs(np.trace(dual) - 1.0) <= 1e-12, outcome
+        if outcome == "missing":
+            centre = np.einsum("k,kab->ab", path_x, members)
+            assert not x.any()
+            assert np.linalg.eigvalsh(centre)[0] <= cones.FEAS_TOL * np.linalg.norm(centre)
+            assert np.linalg.eigvalsh(dual)[0] >= 0.1
+            assert np.abs(np.einsum("ab,kab->k", dual, members)).max() <= 1e-15
+        else:
+            assert np.abs(x - path_x / np.linalg.norm(path_x)).max() <= 1e-12, outcome
+            depth = np.linalg.eigvalsh(np.einsum("k,kab->ab", x, members))[0]
+            assert (depth > cones.FEAS_TOL) == (outcome != "tangent"), outcome
+        outcomes.add(outcome)
+    assert outcomes == {"interior", "tangent", "missing", "all"}
+
+
+def test_barrier_path_solves_only_three_by_three_problems(monkeypatch):
+    # one-member passes go to _ray and passes on a 2x2 face to _plane, so
+    # every problem left to the barrier path is 3x3 with two or more members
+    shapes = {"_central_path": [], "_plane": []}
+    for name, seen in shapes.items():
+        monkeypatch.setattr(cones, name, lambda mats, *tol, solve=getattr(cones, name),
+                            seen=seen: seen.append(mats.shape) or solve(mats, *tol))
+    rng = np.random.default_rng(18)
+    for _, kwargs, case, n_p, n_cp, _, _ in PATTERNS:
+        for _ in range(3):
+            q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+            v = ParamSubspace(np.stack([q @ b @ q.T for b in build(kwargs).basis]))
+            analysis = classify_subspace(v)
+            assert (analysis.case_label, analysis.n_p, analysis.n_cp) == (case, n_p, n_cp)
+    assert shapes["_central_path"]
+    assert all(shape[0] >= 2 and shape[1:] == (3, 3) for shape in shapes["_central_path"])
+    assert {shape[0] for shape in shapes["_plane"]} == {2, 3}
 
 
 def _complement_extent(v, cone):
