@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import (dissipation_from_kossakowski, kossakowski_from_dissipation,
-                        require_symmetric, vec6_to_sym)
+from .generator import (dissipation_from_kossakowski, is_psd, kossakowski_from_dissipation,
+                        pow2_scaled, require_symmetric, unit_rows, vec6_to_sym)
 
 #: Feasibility tolerance: a point is admissible when the relevant minimum
 #: eigenvalue is >= -FEAS_TOL times the matrix's Frobenius norm.  A face
@@ -141,25 +141,15 @@ class IsotropicSpan:
     k_dim: int
 
 
-def _scaled(mats: np.ndarray) -> np.ndarray:
-    """Each matrix scaled exactly, by a power of two, to a largest entry in [1/2, 1)."""
-    return np.ldexp(mats, -np.frexp(np.abs(mats).max(axis=(-2, -1), keepdims=True))[1])
-
-
-def _is_psd(m: np.ndarray, tol: float) -> bool:
-    """lambda_min(m) >= -tol |m|_F: relative, as the depth in classify_subspace is."""
-    return bool(np.linalg.eigvalsh(m)[0] >= -tol * np.linalg.norm(m))
-
-
 def is_completely_positive(c: np.ndarray, tol: float = FEAS_TOL) -> bool:
     """True iff the coefficient matrix itself is PSD: lambda_min(C) >= -tol |C|_F."""
-    return _is_psd(_scaled(require_symmetric(c, "kossakowski matrix")), tol)
+    return is_psd(require_symmetric(c, "kossakowski matrix"), tol)
 
 
 def is_positive(c: np.ndarray, tol: float = FEAS_TOL) -> bool:
     """True iff the dissipation matrix D(C) is PSD: lambda_min(D) >= -tol |D|_F."""
-    c = _scaled(require_symmetric(c, "kossakowski matrix"))  # D(c) cannot overflow
-    return _is_psd(dissipation_from_kossakowski(c), tol)
+    c = pow2_scaled(require_symmetric(c, "kossakowski matrix"))  # D(c) cannot overflow
+    return is_psd(dissipation_from_kossakowski(c), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +178,7 @@ _SYM_BASIS = np.stack([vec6_to_sym(row).reshape(9) for row in
 
 def _orthonormal(mats: np.ndarray) -> np.ndarray:
     """Frobenius-orthonormal basis of the span, each element normalized first."""
-    flat = _scaled(mats).reshape(len(mats), -1)  # the norm cannot under- or overflow
-    flat = flat / np.linalg.norm(flat, axis=1, keepdims=True)
-    _, sv, vt = np.linalg.svd(flat, full_matrices=False)
+    _, sv, vt = np.linalg.svd(unit_rows(mats), full_matrices=False)
     return vt[: int(np.sum(sv > RANK_TOL * sv[0]))].reshape((-1,) + mats.shape[1:])
 
 
@@ -331,7 +319,7 @@ def _face(members: np.ndarray, tol: float):
 def _analyze_cone(v: ParamSubspace, cone: str, tol: float):
     """Face rank, admissible span dimension, signed depth and witnesses."""
     images = v.basis if cone == "CP" else np.stack(  # scaled: D cannot overflow
-        [dissipation_from_kossakowski(b) for b in _scaled(v.basis)])
+        [dissipation_from_kossakowski(b) for b in pow2_scaled(v.basis)])
     rank, members, x_or_dual = _face(_orthonormal(images), tol)
     if rank == 0:  # minus the depth of the certificate
         return 0, 0, -float(np.linalg.eigvalsh(x_or_dual)[0] / np.linalg.norm(x_or_dual)), []

@@ -36,6 +36,24 @@ def require_symmetric(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return 0.5 * m + 0.5 * m.T
 
 
+def pow2_scaled(mats: np.ndarray) -> np.ndarray:
+    """Each matrix scaled exactly, by a power of two, to a largest entry in [1/2, 1)."""
+    return np.ldexp(mats, -np.frexp(np.abs(mats).max(axis=(-2, -1), keepdims=True))[1])
+
+
+def unit_rows(mats: np.ndarray) -> np.ndarray:
+    """The nonzero matrices as flat rows of unit Frobenius norm, each pow2_scaled first."""
+    flat = pow2_scaled(mats).reshape(len(mats), -1)  # the norm cannot under- or overflow
+    flat = flat[flat.any(axis=1)]
+    return flat / np.linalg.norm(flat, axis=1, keepdims=True)
+
+
+def is_psd(m: np.ndarray, tol: float) -> bool:
+    """lambda_min(m) >= -tol |m|_F for a symmetric m, at any scale: m is pow2_scaled first."""
+    m = pow2_scaled(m)
+    return bool(np.linalg.eigvalsh(m)[0] >= -tol * np.linalg.norm(m))
+
+
 def sym_to_vec6(m: np.ndarray) -> np.ndarray:
     """Serialize a symmetric 3x3 matrix as (c11, c22, c33, c12, c13, c23)."""
     m = np.asarray(m, dtype=float)
@@ -59,19 +77,24 @@ def dissipation_from_kossakowski(c: np.ndarray) -> np.ndarray:
     """Dissipation matrix D = 2 (I Tr C - C) of a coefficient matrix C.
 
     Entrywise, D11 = 2(c22 + c33), D12 = -2 c12, and cyclic permutations, so
-    no diagonal entry suffers the cancellation of Tr C - c11.
+    no diagonal entry suffers the cancellation of Tr C - c11.  ValueError
+    when D overflows, as it can for a C near the largest double.
     """
     c = require_symmetric(c, "kossakowski matrix")
     diag = np.diagonal(c)
-    d = -2.0 * c
-    np.fill_diagonal(d, 2.0 * (diag[[1, 0, 0]] + diag[[2, 2, 1]]))
+    with np.errstate(over="ignore"):  # refused below
+        d = -2.0 * c
+        np.fill_diagonal(d, 2.0 * (diag[[1, 0, 0]] + diag[[2, 2, 1]]))
+    if not np.isfinite(d).all():
+        raise ValueError("dissipation matrix overflows")
     return d
 
 
 def kossakowski_from_dissipation(d: np.ndarray) -> np.ndarray:
-    """Invert :func:`dissipation_from_kossakowski`: C = (Tr D / 4) I - D / 2."""
+    """Invert :func:`dissipation_from_kossakowski`: C = Tr(D / 4) I - D / 2, finite for
+    any finite D, as its entries and the partial sums of Tr(D / 4) are <= 3/4 max |D|."""
     d = require_symmetric(d, "dissipation matrix")
-    return (np.trace(d) / 4.0) * np.eye(3) - d / 2.0
+    return np.trace(d / 4.0) * np.eye(3) - d / 2.0
 
 
 def hamiltonian_matrix(h: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .cones import ParamSubspace, is_completely_positive, is_positive
 from .errors import InfeasibleParametersError
-from .generator import dissipation_from_kossakowski, hamiltonian_matrix
+from .generator import dissipation_from_kossakowski, hamiltonian_matrix, unit_rows
 
 #: Relative singular-value cut of the span of the normalized generators and
 #: their brackets.
@@ -40,15 +40,15 @@ def bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def lie_closure(generators) -> LieClosure:
     """Close a set of 3x3 matrices under the commutator.
 
-    Each nonzero generator is normalized, and the basis is the SVD span of
-    the generators: the right singular vectors whose singular values exceed
-    ``CLOSURE_TOL`` times the largest.  The span is then replaced by the SVD
-    span of itself plus the brackets of all pairs of its basis elements,
-    until the dimension stops growing or reaches 9 (Elliott, Bilinear
-    Control Systems, 2009, ch. 2).  The algebra depends only on the span of
-    the generators, so neither their scales nor the frame change the result;
-    two directions closer than about eps / ``CLOSURE_TOL`` (relative) are
-    not resolved.
+    Each nonzero generator is normalized (``generator.unit_rows``), and the
+    basis is the SVD span of the generators: the right singular vectors
+    whose singular values exceed ``CLOSURE_TOL`` times the largest.  The
+    span is then replaced by the SVD span of itself plus the brackets of all
+    pairs of its basis elements, until the dimension stops growing or
+    reaches 9 (Elliott, Bilinear Control Systems, 2009, ch. 2).  The algebra
+    depends only on the span of the generators, so neither the frame nor
+    their scales, up to the largest double, change the result; two
+    directions closer than about eps / ``CLOSURE_TOL`` are not resolved.
 
     Parameters
     ----------
@@ -61,14 +61,14 @@ def lie_closure(generators) -> LieClosure:
     for g in gens:
         if g.shape != (3, 3):
             raise ValueError(f"generators must be 3x3, got shape {g.shape}")
-    rows = np.stack([g.reshape(9) for g in gens])
-    if not np.isfinite(rows).all():
+    mats = np.stack(gens)
+    if not np.isfinite(mats).all():
         raise ValueError("generators must be finite")
-    norms = np.linalg.norm(rows, axis=1)
-    if not norms.any():
+    rows = unit_rows(mats)
+    if not len(rows):
         raise ValueError("all generators vanish")
 
-    basis = _svd_span(rows[norms > 0] / norms[norms > 0, None])
+    basis = _svd_span(rows)
     while len(basis) < 9:
         mats = basis.reshape(-1, 3, 3)
         i, j = np.triu_indices(len(mats), 1)

@@ -23,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import FEAS_TOL, _is_psd, is_completely_positive, is_positive
+from .cones import is_completely_positive, is_positive
 from .dynamics import Trajectory, propagate, sample_times
 from .errors import InvalidModelError, StepSizeError
 from .generator import (HMAT_FACTOR, dissipation_from_kossakowski, hamiltonian_matrix,
-                        vec6_to_sym)
+                        is_psd, vec6_to_sym)
 from .liealg import lie_closure
 
 #: Names of the correlation families.
@@ -53,6 +53,7 @@ class CorrelationModel:
 
     ``w11``, ``w13``, ``w33`` are the covariance amplitudes of
     (beta_1, beta_3); for the white family they carry an extra unit of time.
+    They must form a PSD covariance (``generator.is_psd``, at any scale).
     ``tau`` is the correlation time, meaningful only for the exponential
     family.
     """
@@ -67,7 +68,7 @@ class CorrelationModel:
         if self.family not in FAMILIES:
             raise InvalidModelError(
                 f"family must be one of {FAMILIES}, got {self.family!r}")
-        if not _is_psd(self.covariance, _COV_TOL):
+        if not is_psd(self.covariance, _COV_TOL):
             raise InvalidModelError(
                 f"amplitudes {(self.w11, self.w13, self.w33)} do not form a PSD covariance")
         if self.family == "exponential" and not 0.0 < self.tau < np.inf:
@@ -159,14 +160,12 @@ def build_spin_generator(coeffs: SpinFieldCoefficients, u: float) -> tuple[np.nd
 
 
 def cp_admissible(coeffs: SpinFieldCoefficients) -> bool:
-    """True iff the coefficients are compatible with complete positivity.
+    """True iff the coefficient matrix C of the coefficients is PSD.
 
-    Requires the rotating-frame couplings c12, c23 to vanish and the
-    coefficient matrix to be PSD; among the correlation families this holds
-    only for vanishing or white-noise correlations.
-    """
-    if abs(coeffs.c12) >= FEAS_TOL or abs(coeffs.c23) >= FEAS_TOL:
-        return False
+    As c22 = 0, a rotating-frame coupling c12 or c23 makes C indefinite.
+    Vanishing and white-noise correlations pass, exponential ones only at
+    small b3 tau, where lambda_min(C) / |C|_F is about -(b3 tau)^2 at any
+    amplitude."""
     return is_completely_positive(coefficient_matrix(coeffs))
 
 
@@ -215,18 +214,22 @@ ROTATION_CHUNK = 8
 LOCKSTEP_SAMPLES = 1024
 
 
-def _field_chunks(model: CorrelationModel, durations: np.ndarray,
-                  seed: int, sample_indices):
-    """Yield the field values held on consecutive chunks of steps, (steps, samples, 2).
+def _state_chunks(model, b3, u, v0, durations, seed, sample_indices):
+    """Yield the states at consecutive chunks of grid times, (times, 3, samples).
 
-    Each sample k draws from an independent stream seeded by (seed, k), so
-    ensemble runs are reproducible and any single member can be regenerated
-    in isolation.  Every stream is drawn NOISE_CHUNK steps at a time, so the
-    noise held does not grow with the number of steps, and the draws equal
-    those of one whole draw per stream.  The draws are correlated with the
-    covariance root elementwise, two products and a sum per component, so a
-    sample's field values are the same in any group of samples and under
-    any BLAS kernel.
+    The first chunk is v0 alone.  Each sample k draws from an independent
+    stream seeded by (seed, k), so ensemble runs are reproducible and any
+    single member can be regenerated in isolation.  Every stream is drawn
+    NOISE_CHUNK steps at a time, so the noise held does not grow with the
+    number of steps, and the draws equal those of one whole draw per stream.
+    The draws are correlated with the covariance root elementwise, two
+    products and a sum per component, so a sample's field values, and so
+    its states, are the same in any group of samples and under any BLAS
+    kernel.  Each step is the exact precession v -> R(HMAT_FACTOR * h, dt) v
+    about the field h = (beta_1, 0, u b3 + beta_3) held on it: all samples
+    advance together, one step at a time, by the Rodrigues formula
+    v cos + (a x v) sin + a (a . v)(1 - cos), written per component for the
+    unit axis a = (a1, 0, a3).
     """
     n_steps = len(durations)
     root = _cov_sqrt(model.covariance)
@@ -241,6 +244,7 @@ def _field_chunks(model: CorrelationModel, durations: np.ndarray,
         # the innovation into step j
         phi = np.exp(-durations / model.tau)
         innov = np.sqrt(1.0 - phi**2)
+    chunk = np.repeat(np.asarray(v0, dtype=float)[None, :, None], len(rngs), axis=2)
     draws = np.empty((len(rngs), NOISE_CHUNK, 2))
     for start in range(0, n_steps, NOISE_CHUNK):
         z = draws[:, :n_steps - start]
@@ -254,52 +258,35 @@ def _field_chunks(model: CorrelationModel, durations: np.ndarray,
             fields = np.empty(draw1.shape + (2,))
             for i, (r1, r2) in enumerate(root):
                 np.add(draw1 * r1, draw2 * r2, out=fields[..., i])
+            steps = slice(first, first + len(fields))
             if white:
-                fields *= scale[first:first + len(fields), None, None]
+                fields *= scale[steps, None, None]
             else:
                 for j, field in enumerate(fields, start=first):
                     if j > 0:
                         field *= innov[j - 1]
                         field += phi[j - 1] * beta
                     beta = field
-                beta = beta.copy()
-            yield fields
-
-
-def _state_chunks(model, b3, u, v0, durations, seed, sample_indices):
-    """Yield the states at consecutive chunks of grid times, (times, 3, samples).
-
-    The first chunk is v0 alone.  Each step is the exact precession
-    v -> R(HMAT_FACTOR * h, dt) v about the field h = (beta_1, 0, u b3 + beta_3)
-    held on it: all samples advance together, one step at a time, by the
-    Rodrigues formula v cos + (a x v) sin + a (a . v)(1 - cos), written per
-    component for the unit axis a = (a1, 0, a3).
-    """
-    v0 = np.asarray(v0, dtype=float)
-    chunk = np.repeat(v0[None, :, None], len(sample_indices), axis=2)
-    step = 0
-    for fields in _field_chunks(model, durations, seed, sample_indices):
-        yield chunk
-        # unit axis components and angles, each (steps, samples)
-        a1 = HMAT_FACTOR * fields[..., 0]
-        a3 = HMAT_FACTOR * (u * b3 + fields[..., 1])
-        speed = np.sqrt(a1**2 + a3**2)
-        moving = ~(speed < 1e-300)
-        a1 = np.divide(a1, speed, out=np.zeros_like(a1), where=moving)
-        a3 = np.divide(a3, speed, out=np.zeros_like(a3), where=moving)
-        theta = np.multiply(speed, durations[step:step + len(fields), None], out=speed)
-        step += len(fields)
-        cos_t = np.cos(theta)
-        omc = 1.0 - cos_t
-        sin_t = np.sin(theta, out=theta)
-        states, chunk = chunk[-1], np.empty((len(fields), 3, fields.shape[1]))
-        for a1_j, a3_j, c, s, o, new in zip(a1, a3, cos_t, sin_t, omc, chunk):
-            v1, v2, v3 = states
-            dot = a1_j * v1 + a3_j * v3
-            new[0] = v1 * c - a3_j * v2 * s + a1_j * dot * o
-            new[1] = v2 * c + (a3_j * v1 - a1_j * v3) * s
-            new[2] = v3 * c + a1_j * v2 * s + a3_j * dot * o
-            states = new
+            yield chunk
+            # unit axis components and angles, each (steps, samples)
+            a1 = HMAT_FACTOR * fields[..., 0]
+            a3 = HMAT_FACTOR * (u * b3 + fields[..., 1])
+            speed = np.sqrt(a1**2 + a3**2)
+            moving = ~(speed < 1e-300)
+            a1 = np.divide(a1, speed, out=np.zeros_like(a1), where=moving)
+            a3 = np.divide(a3, speed, out=np.zeros_like(a3), where=moving)
+            theta = np.multiply(speed, durations[steps, None], out=speed)
+            cos_t = np.cos(theta)
+            omc = 1.0 - cos_t
+            sin_t = np.sin(theta, out=theta)
+            states, chunk = chunk[-1], np.empty((len(fields), 3, len(rngs)))
+            for a1_j, a3_j, c, s, o, new in zip(a1, a3, cos_t, sin_t, omc, chunk):
+                v1, v2, v3 = states
+                dot = a1_j * v1 + a3_j * v3
+                new[0] = v1 * c - a3_j * v2 * s + a1_j * dot * o
+                new[1] = v2 * c + (a3_j * v1 - a1_j * v3) * s
+                new[2] = v3 * c + a1_j * v2 * s + a3_j * dot * o
+                states = new
     yield chunk
 
 

@@ -62,21 +62,25 @@ def test_classify_rejects_malformed_json(tmp_path):
 
 
 def test_lie_report(tmp_path):
+    # the README input, and the same subspace at basis scales where each
+    # row's squared norm under- or overflows: the verdicts are the same
     inp = tmp_path / "in.json"
     out = tmp_path / "out.json"
-    write_json(inp, {
-        "basis": [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1]],
-        "h": [0, 0, 1.0],
-        "theta_p": [1.0, 1.0, 0.7],
-        "theta_cp": [1.0, 1.0, 0.0],
-    })
-    assert run(["lie", "--input", inp, "--output", out]) == 0
-    data = json.loads(out.read_text())
-    assert (data["dim_p"], data["dim_cp"]) == (9, 2)
-    assert data["accessible_p"] and not data["accessible_cp"]
-    assert data["differ"]
-    assert len(data["basis_p"]) == 9
-    assert len(data["basis_cp"]) == 2
+    for scale in (1.0, 1e-170, 1e200):
+        write_json(inp, {
+            "basis": (scale * np.array([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0],
+                                        [0, 0, 0, 0, 0, 1]])).tolist(),
+            "h": [0, 0, 1.0],
+            "theta_p": [1.0, 1.0, 0.7],
+            "theta_cp": [1.0, 1.0, 0.0],
+        })
+        assert run(["lie", "--input", inp, "--output", out]) == 0
+        data = json.loads(out.read_text())
+        assert (data["dim_p"], data["dim_cp"]) == (9, 2), scale
+        assert data["accessible_p"] and not data["accessible_cp"]
+        assert data["differ"]
+        assert len(data["basis_p"]) == 9
+        assert len(data["basis_cp"]) == 2
 
 
 def bench_frame():
@@ -215,6 +219,18 @@ def test_spin_field_exponential(tmp_path):
     assert not data["cp_admissible"]
     assert data["positivity_admissible"]
     assert abs(data["coefficients"]["c11"] - 0.5) < 1e-12
+
+
+def test_spin_field_rejects_an_overflowing_dissipation_matrix(tmp_path, capsys):
+    # finite amplitudes whose D11 = 2 (c22 + c33) = 2e308 is not a double:
+    # refused, where it used to print Infinity, which is not JSON
+    inp = tmp_path / "in.json"
+    write_json(inp, {"family": "white", "w11": 1e308, "w13": 0.0, "w33": 1e308,
+                     "b3": 1.0})
+    assert run(["spin-field", "--input", inp]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "dissipation matrix overflows" in captured.err
 
 
 @pytest.mark.parametrize("command", ["spin-field", "montecarlo"])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,19 @@ def test_symmetry_test_is_scale_free():
         near = scale * c
         near[0, 1] *= 1.0 + 2e-16
         assert np.array_equal(require_symmetric(near), 0.5 * (near + near.T))
+
+
+def test_bijection_refuses_or_avoids_overflow():
+    # D of a C near the largest double overflows and is refused, with no
+    # warning; C of a finite D is finite, and maps back to it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="dissipation matrix overflows"):
+            dissipation_from_kossakowski(1e308 * np.diag([1.0, 0.0, 1.0]))
+        for d in (1.7e308 * np.eye(3), np.diag([-1.7e308, 1.7e308, 1.7e308]),
+                  np.full((3, 3), 1.7e308)):
+            back = dissipation_from_kossakowski(kossakowski_from_dissipation(d))
+            assert np.allclose(back, d, rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -198,6 +198,16 @@ _UNIT_ENTRIES = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
        d_exp=st.floats(-6.0, 6.0), h_exp=st.floats(-6.0, 6.0))
 @example(index=1, frame=np.array([[0.3, -0.8, 0.5], [0.9, 0.2, -0.4], [0.1, 0.6, 0.7]]),
          d_exp=6.0, h_exp=0.0)
+# scales at which a generator's squared norm under- or overflows, D and h
+# alike and mixed
+@example(index=0, frame=np.eye(3), d_exp=-300.0, h_exp=-300.0)
+@example(index=2, frame=np.eye(3), d_exp=300.0, h_exp=300.0)
+@example(index=3, frame=np.eye(3), d_exp=-170.0, h_exp=200.0)
+@example(index=4, frame=np.eye(3), d_exp=200.0, h_exp=-170.0)
+@example(index=5, frame=np.eye(3), d_exp=-300.0, h_exp=300.0)
+@example(index=1, frame=np.eye(3), d_exp=300.0, h_exp=-300.0)
+@example(index=0, frame=np.eye(3), d_exp=-170.0, h_exp=-170.0)
+@example(index=2, frame=np.eye(3), d_exp=200.0, h_exp=200.0)
 def test_switched_dimension_survives_frame_and_scales(index, frame, d_exp, h_exp):
     c, h, dim = SWITCHED[index]
     closure = rotated_switched_closure(c, h, rotation_from(frame), 10.0 ** d_exp, 10.0 ** h_exp)
