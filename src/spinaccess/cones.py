@@ -15,12 +15,12 @@ complete positivity, D(V) for positivity), so the classification is
 facial reduction (Borwein and Wolkowicz 1981; Permenter and Parrilo 2018):
 either the subspace holds a definite matrix, or a nonzero PSD matrix Y is
 orthogonal to it and every admissible member lives on the face ker Y.  A
-log-det barrier, which is concave and has one maximizer, finds the central
-point and Y together on 3x3 faces.  Smaller passes take both exactly: a span
-{x M} from M's eigenpairs, and a span on a 2x2 face from the projection of I
-onto it, since the PSD cone of Sym(2) is a Lorentz cone about I.  At most
-three reductions decide.  Only zero is admissible exactly when Y is
-definite, and then the depth of the unit-norm Y says how near it is to flipping.
+pass decides a span {x M} from M's eigenpairs, a larger one from the
+projection P of I onto it: a definite P is a central point, a PSD I - P is
+Y, and on a 2x2 face one of them holds.  Only a 3x3 pass where neither
+does follows a log-det barrier, concave with one maximizer, to both.  At
+most three passes decide; a definite first Y certifies that only zero is
+admissible, and its unit-norm depth says how near that is to flipping.
 
 K is computed by a finite recursion: the common zeros of the forms w^T B w
 split, exactly to rounding, along singular members of their pencil
@@ -168,7 +168,7 @@ _MU_PATH = np.array([1.0, 1e-4, 1e-8])
 _DUAL_CUT = 1e-4
 
 #: Unit-norm members whose part off the face has at most this norm count as
-#: supported on the face.  The face itself is known only to about 1e-8.
+#: supported on the face, which the barrier path knows only to about 1e-8.
 _SUPPORT_CUT = 1e-6
 
 #: Frobenius-orthonormal basis of the symmetric 3x3 matrices, flattened.
@@ -184,7 +184,7 @@ def _orthonormal(mats: np.ndarray) -> np.ndarray:
 
 def _central_path(mats: np.ndarray):
     """Centre x and trace-one dual Y of max t s.t. sum_k x_k M_k >= t I, |x| <= 1, for
-    two or more 3x3 members: smaller problems have the closed forms of _ray and _plane.
+    two or more 3x3 members on which neither projection of I decides (see _projected).
 
     Damped Newton steps follow the log-det barrier central path from
     (t, x) = (-1, 0), to a squared decrement below 1/16 at each weight mu of
@@ -238,28 +238,28 @@ def _ray(member: np.ndarray, tol: float):
     return np.zeros(1), y / np.trace(y)
 
 
-def _plane(members: np.ndarray, tol: float):
-    """_central_path's x and trace-one Y for two or three orthonormal members of Sym(2), exactly.
+def _projected(members: np.ndarray, tol: float):
+    """_central_path's x and trace-one Y for two or more orthonormal members, from the
+    projections of I onto their span, P (coordinates: the traces), and off it, N = I - P.
 
-    A unit member with part p along I/sqrt(2) and q off it has lambda_min
-    (p - |q|)/sqrt(2), so the deepest unit member is X, the normalized
-    projection of I onto the span.  Its coordinates are the members' traces,
-    and by symmetry about I the barrier path's centre lies on the same ray.
-    Three members span Sym(2): X = I/sqrt(2) and Y = I/2.  If X is PSD to
-    depth -tol, x is X's coordinates and Y is _ray's projector onto ker X.
-    Otherwise the span meets the PSD cone only at 0, x = 0, and Y is the
-    span's normal, I minus its projection, which is then definite because
-    the cone is self-dual.
+    A P definite at ``tol`` meets the interior: x is its direction, and Y
+    projects onto its lowest eigenspace, the path's limit on a 2x2 face.  An
+    N PSD to depth -tol is orthogonal to the span, so x = 0 and Y = N.  Else
+    a 3x3 face takes the barrier path; a 2x2 one never does.  Sym(2)'s PSD
+    cone is {p I/sqrt(2) + q : |q| <= p}, q traceless, and tr P = |P|^2
+    gives |q|^2 = sqrt(2) p - p^2: if p <= |q|, then p <= 1/sqrt(2) and
+    |q| <= sqrt(2) - p, so N is PSD to the order of tol.
     """
     traces = np.einsum("kaa->k", members)
-    if len(members) == 3:
-        return traces / np.linalg.norm(traces), 0.5 * np.eye(2)
     projection = np.einsum("k,kab->ab", traces, members)
-    x, dual = _ray(projection, tol)  # sign +: the trace of the projection is |traces|^2
-    if traces.any() and x[0]:
-        return traces / np.linalg.norm(traces), dual
-    normal = np.eye(2) - projection
-    return np.zeros(2), normal / np.trace(normal)
+    vals, vecs = np.linalg.eigh(projection)
+    if vals[0] > tol * np.linalg.norm(vals):
+        low = vecs[:, vals <= vals[0] + tol * np.linalg.norm(vals)]
+        return traces / np.linalg.norm(traces), low @ low.T / low.shape[1]
+    normal = np.eye(len(vals)) - projection
+    if len(vals) == 3 and not is_psd(normal, tol):
+        return _central_path(members)
+    return np.zeros(len(members)), normal / np.trace(normal)
 
 
 def _canonical(members: np.ndarray) -> np.ndarray:
@@ -286,22 +286,19 @@ def _canonical(members: np.ndarray) -> np.ndarray:
 def _face(members: np.ndarray, tol: float):
     """Facial reduction of the span of orthonormal members against the PSD cone.
 
-    Returns (rank, members, x_or_dual): the rank of the smallest face of
-    the PSD cone holding every PSD member of the span, the canonical
-    orthonormal basis of the span's members supported on that face (see
-    _canonical), and the coordinates on that basis of its central point; at
-    rank 0, no members and the first pass's dual, 3x3 and definite, projected
-    onto the complement of the span.  While the central point of the current
-    face is not strictly feasible (depth at most ``tol``), the face shrinks to
-    the dual's kernel, a dimension or more.  A pass takes its centre and dual
-    from _ray for one member, from _plane for more on a 2x2 face, and from
-    _central_path otherwise, so only the 3x3 passes follow the barrier path.
+    Returns (rank, members, x_or_dual): the rank of the smallest face of the
+    PSD cone holding every PSD member of the span, the canonical orthonormal
+    basis of the span's members supported on that face (see _canonical), and
+    the coordinates on that basis of its central point; at rank 0, no members
+    and the first pass's dual, 3x3 and PSD, projected onto the complement of
+    the span.  While the central point of the current face is not strictly
+    feasible (depth at most ``tol``), the face shrinks to the dual's kernel, a
+    dimension or more.  _ray solves a one-member pass, _projected the others.
     """
     u, first = np.eye(3), None
     while len(members) and u.shape[1]:
         reduced = np.einsum("ia,kij,jb->kab", u, members, u)
-        x, dual = (_ray(reduced[0], tol) if len(members) == 1 else
-                   _plane(reduced, tol) if u.shape[1] == 2 else _central_path(reduced))
+        x, dual = _ray(reduced[0], tol) if len(members) == 1 else _projected(reduced, tol)
         if first is None:  # the one pass that sees the whole span
             first = dual - np.tensordot(np.tensordot(members, dual, 2), members, 1)
         centre = np.einsum("k,kab->ab", x, reduced)
@@ -339,19 +336,21 @@ def classify_subspace(v: ParamSubspace, tol: float = FEAS_TOL) -> ConeAnalysis:
     """Classify a subspace into the six admissibility cases.
 
     For each cone, facial reduction finds the smallest face of the PSD cone
-    holding the admissible members: rank 0 means only zero is admissible,
-    rank 3 that some admissible member lies in the cone interior, and rank 1
-    or 2 that the admissible set is confined to the cone boundary.  n_p and
-    n_cp are the dimensions of the subspace members supported on the face,
-    which the admissible sets span.  A boundary face is reported as the
-    boundary case and flagged as ambiguous.  ``extent_*`` is a signed depth:
-    lambda_min of the unit-norm central admissible member, or, when only
-    zero is admissible, minus lambda_min of the unit-norm first-pass dual,
-    the definite matrix orthogonal to the subspace that certifies it.
-    The witnesses are the central admissible member and short steps from it
-    along the canonical orthonormal basis of the face members, so they span
-    the admissible set and do not depend on the choice of basis or its
-    scale.  No verdict depends on the frame, scale or choice of basis.
+    holding the admissible members: rank 0 means only zero is admissible, rank
+    3 that some admissible member lies in the cone interior, and rank 1 or 2
+    that the admissible set is confined to the cone boundary.  n_p and n_cp are
+    the dimensions of the subspace members supported on the face, which the
+    admissible sets span.  A boundary face is reported as the boundary case and
+    flagged as ambiguous.  ``extent_*`` is a signed depth: lambda_min of the
+    unit-norm central admissible member, or, when only zero is admissible,
+    minus lambda_min of the unit-norm first-pass dual, the PSD matrix
+    orthogonal to the subspace that starts the reduction.  Where the projection
+    P of I decides (see _projected), these are P on the face, a conservative
+    depth fixed by the span, and I - P.  The witnesses are the central
+    admissible member and short steps from it along the canonical orthonormal
+    basis of the face members, so they span the admissible set and do not
+    depend on the choice of basis or its scale.  No verdict depends on the
+    frame, scale or choice of basis.
 
     Raises
     ------

@@ -14,10 +14,14 @@ span{diag(1, 1e-5, 0)} in the benchmark's frame C -> 1e3 Q C Q^T (3b, exit
 2), whose rank-2 CP face is read off the eigenpairs of its one member, and
 the parabola touch span{xz - y^2, x^2} in the same frame (3b, exit 2,
 certificate condition1), and the corner plus coupling, rows {c33, c12}, in
-that frame too (3a, exit 2, certificate condition2), whose P cone takes the
-closed-form pass for two members on a 2x2 face; the README subspace takes
-the one for three.  The conics of the parabola touch meet in one
-direction with contact of order four, so its isotropic span rests on
+that frame too (3a, exit 2, certificate condition2), whose P cone is
+decided on a 2x2 face by the projection of I onto it, and span{E11,
+E12+E21+2 E33}, rows {c11, c12 + 2 c33}, as given and in that frame (3b,
+n_cp 1, exit 2).  Every other pass here is exact, from one member's
+eigenpairs or from the projection of I, but the first CP pass of this last
+span and of the parabola touch is decided by neither, so those keep the
+barrier path under both cores.  The conics of the parabola touch meet in
+one direction with contact of order four, so its isotropic span rests on
 treating the pencil's rank-one member as singular to rounding level.  For
 each, the case label, n, n_p, n_cp, the ambiguity flag, the certificate and
 the exit code must be equal, and witnesses and extents must agree within
@@ -58,6 +62,10 @@ SUBSPACES = {
     "corner plus coupling": {"basis": [_benchmark_frame(np.diag([0.0, 0.0, 1.0])),
                                        _benchmark_frame([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0],
                                                          [0.0, 0.0, 0.0]])]},
+    "coupled corner": {"basis": [[1, 0, 0, 0, 0, 0], [0, 0, 2, 1, 0, 0]]},
+    "coupled corner in frame": {"basis": [_benchmark_frame(np.diag([1.0, 0.0, 0.0])),
+                                          _benchmark_frame([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0],
+                                                            [0.0, 0.0, 2.0]])]},
 }
 
 EXACT = ("case", "n", "n_p", "n_cp", "ambiguous", "certificate")

@@ -457,11 +457,30 @@ def _coordinate_subspaces():
                 yield ParamSubspace(np.stack([q @ b @ q.T for b in mixed]))
 
 
+def _random_subspaces():
+    """300 spans of one to six random symmetric matrices, in no particular frame."""
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        a = rng.standard_normal((rng.integers(1, 7), 3, 3))
+        yield ParamSubspace(a + a.transpose(0, 2, 1))
+
+
+def _barrier_calls(monkeypatch):
+    """The shapes of the problems handed to the barrier path from now on."""
+    shapes = []
+    monkeypatch.setattr(cones, "_central_path", lambda mats, solve=cones._central_path:
+                        shapes.append(mats.shape) or solve(mats))
+    return shapes
+
+
 def test_rough_centring_keeps_the_verdicts_of_full_centring(monkeypatch):
     # three weights four decades apart, each but the last centred only to a
     # decrement of 1/16, keep every verdict of nine fully centred weights and
     # move no extent by more than 1e-12, in fewer Newton steps; each step
-    # factors the Newton matrix once by QR
+    # factors the Newton matrix once by QR.  Random subspaces, since no pass
+    # of a coordinate pattern reaches the barrier path, built before the
+    # count starts, so that it counts Newton steps only
+    subspaces = list(_random_subspaces())
     steps = [0]
     qr = np.linalg.qr
 
@@ -470,17 +489,71 @@ def test_rough_centring_keeps_the_verdicts_of_full_centring(monkeypatch):
         return qr(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "qr", counting_qr)
-    subspaces = list(_coordinate_subspaces())
     rough = [classify_subspace(v) for v in subspaces]
     rough_steps, steps[0] = steps[0], 0
     monkeypatch.setattr(cones, "_central_path", _fully_centred_path)
     full = [classify_subspace(v) for v in subspaces]
-    assert rough_steps < steps[0]
+    assert 0 < rough_steps < steps[0]
     for ours, theirs in zip(rough, full):
         assert ((ours.case_label, ours.n_p, ours.n_cp, ours.ambiguous)
                 == (theirs.case_label, theirs.n_p, theirs.n_cp, theirs.ambiguous))
         assert abs(ours.extent_p - theirs.extent_p) <= 1e-12
         assert abs(ours.extent_cp - theirs.extent_cp) <= 1e-12
+
+
+def _projection_depth(v, cone):
+    """lambda_min of the unit-norm projection of I onto the cone image of v."""
+    images = v.basis if cone == "CP" else np.stack(
+        [dissipation_from_kossakowski(b) for b in v.basis])
+    rows = np.stack([m.reshape(9) / np.linalg.norm(m) for m in images])
+    span = np.linalg.svd(rows, full_matrices=False)[2]
+    projection = (span.T @ (span @ np.eye(3).reshape(9))).reshape(3, 3)
+    return float(np.linalg.eigvalsh(projection / np.linalg.norm(projection))[0])
+
+
+def _interior_extents(analysis):
+    """(cone, extent) of each cone whose admissible set meets the cone's interior."""
+    return [(cone, extent) for cone, extent, interior in (
+        ("P", analysis.extent_p, analysis.case_label in ("2b", "3b", "3c")),
+        ("CP", analysis.extent_cp, analysis.case_label == "3c")) if interior]
+
+
+def test_projections_of_identity_decide_the_coordinate_patterns(monkeypatch):
+    # conjugation by diagonal sign matrices maps a coordinate pattern onto
+    # itself, in any frame and basis, so either P, the projection of I onto
+    # the span, is definite, or I - P is the sum of the E_ii whose diagonal
+    # entry is not free: no pass reaches the barrier path, and an interior
+    # extent is the depth of P
+    shapes = _barrier_calls(monkeypatch)
+    rng = np.random.default_rng(20)
+    library = [ParamSubspace(np.stack([q @ b @ q.T for b in build(kwargs).basis]))
+               for _, kwargs, *_ in PATTERNS
+               for q in (np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(3))]
+    checked = 0
+    for v in itertools.chain(_coordinate_subspaces(), library):
+        for cone, extent in _interior_extents(classify_subspace(v)):
+            assert abs(extent - _projection_depth(v, cone)) <= 1e-12
+            checked += 1
+    assert shapes == []
+    assert checked > 0
+
+
+def test_projection_passes_keep_the_verdicts_of_full_centring(monkeypatch):
+    # on random subspaces, where the projections of I leave some passes to
+    # the barrier path, the verdicts are those of the fully centred path on
+    # every pass of two or more members, and no interior extent, the depth
+    # of P, lies above the fully centred one, the depth of the deepest unit
+    # member
+    subspaces = list(_random_subspaces())
+    ours = [classify_subspace(v) for v in subspaces]
+    monkeypatch.setattr(cones, "_projected", lambda members, tol: _fully_centred_path(members))
+    for v, analysis in zip(subspaces, ours):
+        full = classify_subspace(v)
+        assert ((analysis.case_label, analysis.n_p, analysis.n_cp, analysis.ambiguous)
+                == (full.case_label, full.n_p, full.n_cp, full.ambiguous))
+        for (cone, extent), (_, depth) in zip(_interior_extents(analysis),
+                                              _interior_extents(full)):
+            assert extent <= depth + 1e-12, cone
 
 
 def _rays():
@@ -553,41 +626,40 @@ def _planted_faces():
 
 
 def test_two_by_two_faces_match_full_centring():
-    # a pass on a 2x2 face is solved in closed form: the centre direction
-    # agrees with the fully centred path's, or both centres fail the depth
-    # test, and both duals have the same kernel at _DUAL_CUT; a missing
-    # plane's dual is definite and orthogonal to the plane
+    # a pass on a 2x2 face is decided by the projections of I: the centre
+    # direction agrees with the fully centred path's, or x = 0 and the fully
+    # centred centre fails the depth test, and both duals have the same kernel
+    # at _DUAL_CUT; a missing plane's dual is definite and orthogonal to the
+    # plane
     def kernel(dual):
         vals, vecs = np.linalg.eigh(dual)
         return vecs[:, vals <= cones._DUAL_CUT] @ vecs[:, vals <= cones._DUAL_CUT].T
 
     outcomes = set()
     for outcome, members in _planted_faces():
-        x, dual = cones._plane(members, cones.FEAS_TOL)
+        x, dual = cones._projected(members, cones.FEAS_TOL)
         path_x, path_dual = _fully_centred_path(members)
         assert np.abs(kernel(dual) - kernel(path_dual)).max() <= 1e-12, outcome
         assert abs(np.trace(dual) - 1.0) <= 1e-12, outcome
-        if outcome == "missing":
+        if outcome in ("tangent", "missing"):
             centre = np.einsum("k,kab->ab", path_x, members)
-            assert not x.any()
+            assert not x.any(), outcome
             assert np.linalg.eigvalsh(centre)[0] <= cones.FEAS_TOL * np.linalg.norm(centre)
-            assert np.linalg.eigvalsh(dual)[0] >= 0.1
-            assert np.abs(np.einsum("ab,kab->k", dual, members)).max() <= 1e-15
         else:
             assert np.abs(x - path_x / np.linalg.norm(path_x)).max() <= 1e-12, outcome
-            depth = np.linalg.eigvalsh(np.einsum("k,kab->ab", x, members))[0]
-            assert (depth > cones.FEAS_TOL) == (outcome != "tangent"), outcome
+            assert np.linalg.eigvalsh(np.einsum("k,kab->ab", x, members))[0] > cones.FEAS_TOL
+        if outcome == "missing":
+            assert np.linalg.eigvalsh(dual)[0] >= 0.1
+            assert np.abs(np.einsum("ab,kab->k", dual, members)).max() <= 1e-15
         outcomes.add(outcome)
     assert outcomes == {"interior", "tangent", "missing", "all"}
 
 
 def test_barrier_path_solves_only_three_by_three_problems(monkeypatch):
-    # one-member passes go to _ray and passes on a 2x2 face to _plane, so
-    # every problem left to the barrier path is 3x3 with two or more members
-    shapes = {"_central_path": [], "_plane": []}
-    for name, seen in shapes.items():
-        monkeypatch.setattr(cones, name, lambda mats, *tol, solve=getattr(cones, name),
-                            seen=seen: seen.append(mats.shape) or solve(mats, *tol))
+    # one-member passes go to _ray and the others to _projected, which
+    # decides every pass of the library patterns in any frame and leaves to
+    # the barrier path only 3x3 passes with two or more members
+    shapes = _barrier_calls(monkeypatch)
     rng = np.random.default_rng(18)
     for _, kwargs, case, n_p, n_cp, _, _ in PATTERNS:
         for _ in range(3):
@@ -595,9 +667,11 @@ def test_barrier_path_solves_only_three_by_three_problems(monkeypatch):
             v = ParamSubspace(np.stack([q @ b @ q.T for b in build(kwargs).basis]))
             analysis = classify_subspace(v)
             assert (analysis.case_label, analysis.n_p, analysis.n_cp) == (case, n_p, n_cp)
-    assert shapes["_central_path"]
-    assert all(shape[0] >= 2 and shape[1:] == (3, 3) for shape in shapes["_central_path"])
-    assert {shape[0] for shape in shapes["_plane"]} == {2, 3}
+    assert shapes == []
+    for v in _random_subspaces():
+        classify_subspace(v)
+    assert shapes
+    assert all(shape[0] >= 2 and shape[1:] == (3, 3) for shape in shapes)
 
 
 def _complement_extent(v, cone):
