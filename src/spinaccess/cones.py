@@ -17,10 +17,10 @@ either the subspace holds a definite matrix, or a nonzero PSD matrix Y is
 orthogonal to it and every admissible member lives on the face ker Y.  A
 pass decides a span {x M} from M's eigenpairs, a larger one from the
 projection P of I onto it: a definite P is a central point, a PSD I - P is
-Y, and on a 2x2 face one of them holds.  Only a 3x3 pass where neither
-does follows a log-det barrier, concave with one maximizer, to both.  At
-most three passes decide; a definite first Y certifies that only zero is
-admissible, and its unit-norm depth says how near that is to flipping.
+Y, and on a 2x2 face one of them holds; only a 3x3 pass where neither does
+follows a log-det barrier, concave with one maximizer, to both.  At most
+three passes decide.  Only zero is admissible iff some Y is definite, and
+the depth of the unit-norm one found says how near that is to flipping.
 
 K is computed by a finite recursion: the common zeros of the forms w^T B w
 split, exactly to rounding, along singular members of their pencil
@@ -184,7 +184,7 @@ def _orthonormal(mats: np.ndarray) -> np.ndarray:
 
 def _central_path(mats: np.ndarray):
     """Centre x and trace-one dual Y of max t s.t. sum_k x_k M_k >= t I, |x| <= 1, for
-    two or more 3x3 members on which neither projection of I decides (see _projected).
+    3x3 members on which neither projection of I decides (see _projected and _face).
 
     Damped Newton steps follow the log-det barrier central path from
     (t, x) = (-1, 0), to a squared decrement below 1/16 at each weight mu of
@@ -244,11 +244,10 @@ def _projected(members: np.ndarray, tol: float):
 
     A P definite at ``tol`` meets the interior: x is its direction, and Y
     projects onto its lowest eigenspace, the path's limit on a 2x2 face.  An
-    N PSD to depth -tol is orthogonal to the span, so x = 0 and Y = N.  Else
-    a 3x3 face takes the barrier path; a 2x2 one never does.  Sym(2)'s PSD
-    cone is {p I/sqrt(2) + q : |q| <= p}, q traceless, and tr P = |P|^2
-    gives |q|^2 = sqrt(2) p - p^2: if p <= |q|, then p <= 1/sqrt(2) and
-    |q| <= sqrt(2) - p, so N is PSD to the order of tol.
+    N PSD to depth -tol is orthogonal to the span: x = 0, Y = N.  Else a 3x3
+    face takes the barrier path; a 2x2 one never does.  Sym(2)'s PSD cone is
+    {p I/sqrt(2) + q : |q| <= p}, q traceless, and tr P = |P|^2 gives
+    |q|^2 = sqrt(2) p - p^2: p <= |q| forces p <= 1/sqrt(2), so |q| <= sqrt(2) - p, N PSD.
     """
     traces = np.einsum("kaa->k", members)
     projection = np.einsum("k,kab->ab", traces, members)
@@ -256,10 +255,10 @@ def _projected(members: np.ndarray, tol: float):
     if vals[0] > tol * np.linalg.norm(vals):
         low = vecs[:, vals <= vals[0] + tol * np.linalg.norm(vals)]
         return traces / np.linalg.norm(traces), low @ low.T / low.shape[1]
-    normal = np.eye(len(vals)) - projection
-    if len(vals) == 3 and not is_psd(normal, tol):
+    normal = 1.0 - vals  # N's eigenvalues: it shares P's eigenvectors
+    if len(vals) == 3 and normal.min() < -tol * np.linalg.norm(normal):
         return _central_path(members)
-    return np.zeros(len(members)), normal / np.trace(normal)
+    return np.zeros(len(members)), (np.eye(len(vals)) - projection) / normal.sum()
 
 
 def _canonical(members: np.ndarray) -> np.ndarray:
@@ -290,17 +289,18 @@ def _face(members: np.ndarray, tol: float):
     PSD cone holding every PSD member of the span, the canonical orthonormal
     basis of the span's members supported on that face (see _canonical), and
     the coordinates on that basis of its central point; at rank 0, no members
-    and the first pass's dual, 3x3 and PSD, projected onto the complement of
-    the span.  While the central point of the current face is not strictly
+    and the first pass's dual, 3x3 and definite, projected onto the complement
+    of the span.  While the central point of the current face is not strictly
     feasible (depth at most ``tol``), the face shrinks to the dual's kernel, a
     dimension or more.  _ray solves a one-member pass, _projected the others.
+    Only 0 is admissible iff the complement holds a definite matrix (Gordan), so
+    a singular N that starts a rank-0 reduction yields to the barrier dual.
     """
-    u, first = np.eye(3), None
+    span, u, first = members, np.eye(3), None
     while len(members) and u.shape[1]:
         reduced = np.einsum("ia,kij,jb->kab", u, members, u)
         x, dual = _ray(reduced[0], tol) if len(members) == 1 else _projected(reduced, tol)
-        if first is None:  # the one pass that sees the whole span
-            first = dual - np.tensordot(np.tensordot(members, dual, 2), members, 1)
+        first = dual if first is None else first  # the one pass that sees the whole span
         centre = np.einsum("k,kab->ab", x, reduced)
         if np.linalg.eigvalsh(centre)[0] > tol * np.linalg.norm(centre):
             rotation = _canonical(members)
@@ -310,7 +310,9 @@ def _face(members: np.ndarray, tol: float):
         off = np.einsum("ij,kjl->kil", np.eye(3) - u @ u.T, members)
         _, sv, vt = np.linalg.svd(off.reshape(len(members), 9).T)
         members = np.einsum("jk,kab->jab", vt[sv <= _SUPPORT_CUT], members)
-    return 0, members[:0], first
+    if np.linalg.eigvalsh(first)[0] <= tol * np.linalg.norm(first):
+        first = _central_path(span)[1]
+    return 0, members[:0], first - np.tensordot(np.tensordot(span, first, 2), span, 1)
 
 
 def _analyze_cone(v: ParamSubspace, cone: str, tol: float):
@@ -343,10 +345,10 @@ def classify_subspace(v: ParamSubspace, tol: float = FEAS_TOL) -> ConeAnalysis:
     admissible sets span.  A boundary face is reported as the boundary case and
     flagged as ambiguous.  ``extent_*`` is a signed depth: lambda_min of the
     unit-norm central admissible member, or, when only zero is admissible,
-    minus lambda_min of the unit-norm first-pass dual, the PSD matrix
-    orthogonal to the subspace that starts the reduction.  Where the projection
-    P of I decides (see _projected), these are P on the face, a conservative
-    depth fixed by the span, and I - P.  The witnesses are the central
+    minus lambda_min of the unit-norm first-pass dual, the definite matrix
+    orthogonal to the subspace that certifies it.  Where P, the projection of
+    I, decides (see _projected), the centre is P, a conservative depth fixed by
+    the span, and a definite I - P is the dual.  The witnesses are the central
     admissible member and short steps from it along the canonical orthonormal
     basis of the face members, so they span the admissible set and do not
     depend on the choice of basis or its scale.  No verdict depends on the
@@ -363,10 +365,8 @@ def classify_subspace(v: ParamSubspace, tol: float = FEAS_TOL) -> ConeAnalysis:
     rank_p, n_p, extent_p, witnesses_p = _analyze_cone(v, "P", tol)
     rank_cp, n_cp, extent_cp, witnesses_cp = _analyze_cone(v, "CP", tol)
 
-    p_boundary = 0 < rank_p < 3
-    cp_boundary = 0 < rank_cp < 3
+    p_boundary, cp_boundary = 0 < rank_p < 3, 0 < rank_cp < 3
     ambiguous = p_boundary or cp_boundary
-
     if rank_p == 0:
         label = "1"
         n_cp, witnesses_cp = 0, []

@@ -17,10 +17,13 @@ certificate condition1), and the corner plus coupling, rows {c33, c12}, in
 that frame too (3a, exit 2, certificate condition2), whose P cone is
 decided on a 2x2 face by the projection of I onto it, and span{E11,
 E12+E21+2 E33}, rows {c11, c12 + 2 c33}, as given and in that frame (3b,
-n_cp 1, exit 2).  Every other pass here is exact, from one member's
-eigenpairs or from the projection of I, but the first CP pass of this last
-span and of the parabola touch is decided by neither, so those keep the
-barrier path under both cores.  The conics of the parabola touch meet in
+n_cp 1, exit 2), and the singular-normal corner span{diag(1, -0.1, 1 - b),
+E12+E21}, b = (1 - sqrt(0.56))/2 (2b, exit 0).  Every other pass here is
+exact, from one member's eigenpairs or from the projection of I, but the
+first CP pass of the coupled corner and of the parabola touch is decided by
+neither, and the singular-normal corner's CP cone, whose I - P = diag(0, 1.1,
+b) is PSD but singular, takes its rank-0 certificate from the barrier path,
+so those keep the barrier path under both cores.  The conics of the parabola touch meet in
 one direction with contact of order four, so its isotropic span rests on
 treating the pencil's rank-one member as singular to rounding level.  For
 each, the case label, n, n_p, n_cp, the ambiguity flag, the certificate and
@@ -66,6 +69,8 @@ SUBSPACES = {
     "coupled corner in frame": {"basis": [_benchmark_frame(np.diag([1.0, 0.0, 0.0])),
                                           _benchmark_frame([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0],
                                                             [0.0, 0.0, 2.0]])]},
+    "singular-normal corner": {"basis": [[1, -0.1, (1 + np.sqrt(0.56)) / 2, 0, 0, 0],
+                                         [0, 0, 0, 1, 0, 0]]},
 }
 
 EXACT = ("case", "n", "n_p", "n_cp", "ambiguous", "certificate")

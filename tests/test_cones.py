@@ -692,7 +692,8 @@ def test_rank_zero_extent_lies_between_complement_depth_and_zero(monkeypatch):
     # complements of rank-0 coordinate patterns all hold I, random subspaces
     # give the bound room, and in the thin pairs below facial reduction
     # reaches rank 0 only at a second pass, in 2x2 face coordinates, where
-    # one member is left and _ray solves it
+    # one member is left and _ray solves it; in the last span, I - P =
+    # diag(0, 1.1, b) is PSD but singular, so the barrier dual certifies it
     rng = np.random.default_rng(16)
     random = [ParamSubspace(a + a.transpose(0, 2, 1))
               for a in (rng.standard_normal((rng.integers(1, 7), 3, 3)) for _ in range(100))]
@@ -701,6 +702,15 @@ def test_rank_zero_extent_lies_between_complement_depth_and_zero(monkeypatch):
         rows = [vec6_to_sym(r) for r in ([1, -1, 0, 0, 0, 0], [1, 1, eps, 0, 0, 0])]
         thin += [(ParamSubspace(np.stack(rows)), "2b"),  # rank 0 for CP
                  (ParamSubspace(np.stack([kossakowski_from_dissipation(r) for r in rows])), "1")]
+    b = (1.0 - np.sqrt(0.56)) / 2.0  # tr P = |P|^2 for P = diag(1, -0.1, 1 - b)
+    corner = np.stack([np.diag([1.0, -0.1, 1.0 - b]), vec6_to_sym([0, 0, 0, 1, 0, 0])])
+    singular = [ParamSubspace(np.stack([q @ m @ q.T for m in corner]))
+                for q in [np.eye(3)] + [np.linalg.qr(rng.standard_normal((3, 3)))[0]
+                                        for _ in range(4)]]
+    for v in singular:
+        analysis = classify_subspace(v)
+        assert (analysis.case_label, analysis.n_cp) == ("2b", 0)
+        assert analysis.extent_cp <= -0.05  # the barrier dual's depth, 0.0503
     sizes = []  # the face size of each facial-reduction pass, whichever solves it
     for name in ("_central_path", "_ray"):
         monkeypatch.setattr(cones, name, lambda mats, *tol, solve=getattr(cones, name):
@@ -710,7 +720,7 @@ def test_rank_zero_extent_lies_between_complement_depth_and_zero(monkeypatch):
         assert classify_subspace(v).case_label == label
         assert 2 in sizes
     checked = 0
-    for v in itertools.chain(_coordinate_subspaces(), random, (v for v, _ in thin)):
+    for v in itertools.chain(_coordinate_subspaces(), random, (v for v, _ in thin), singular):
         analysis = classify_subspace(v)
         for cone, extent, rank_zero in (
                 ("P", analysis.extent_p, analysis.case_label == "1"),
