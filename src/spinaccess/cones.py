@@ -28,7 +28,7 @@ split, exactly to rounding, along singular members of their pencil
 basis returned for K is orthonormal, and isotropic only when K is a line.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,10 +61,12 @@ class ParamSubspace:
 
     ``basis`` has shape (n, 3, 3) with 1 <= n <= 6 symmetric elements,
     linearly independent at ``RANK_TOL`` once normalized.  Coordinates theta
-    always refer to this basis as given.
+    always refer to this basis as given.  ``span``, its Frobenius-orthonormal
+    basis, is computed once here, so ``basis`` must not change afterwards.
     """
 
     basis: np.ndarray
+    span: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=float)
@@ -79,8 +81,8 @@ class ParamSubspace:
         # every later step normalizes each element, at any scale
         if not basis.reshape(n, 9).any(axis=1).all():
             raise ValueError("basis contains a zero element")
-        # the same rank the cone analysis and the isotropic span use
-        if len(_orthonormal(basis)) != n:
+        self.span = _orthonormal(basis)
+        if len(self.span) != n:
             raise ValueError("basis elements are not linearly independent")
 
     @classmethod
@@ -317,9 +319,9 @@ def _face(members: np.ndarray, tol: float):
 
 def _analyze_cone(v: ParamSubspace, cone: str, tol: float):
     """Face rank, admissible span dimension, signed depth and witnesses."""
-    images = v.basis if cone == "CP" else np.stack(  # scaled: D cannot overflow
-        [dissipation_from_kossakowski(b) for b in pow2_scaled(v.basis)])
-    rank, members, x_or_dual = _face(_orthonormal(images), tol)
+    members = v.span if cone == "CP" else _orthonormal(np.stack(  # scaled: D cannot overflow
+        [dissipation_from_kossakowski(b) for b in pow2_scaled(v.basis)]))
+    rank, members, x_or_dual = _face(members, tol)
     if rank == 0:  # minus the depth of the certificate
         return 0, 0, -float(np.linalg.eigvalsh(x_or_dual)[0] / np.linalg.norm(x_or_dual)), []
     centre = np.einsum("k,kij->ij", x_or_dual, members)
@@ -479,7 +481,7 @@ def isotropic_span(v: ParamSubspace) -> IsotropicSpan:
     form vanishes on them at _ISOTROPIC_TOL.  Nothing depends on the basis,
     scale or frame of the subspace.
     """
-    pieces = _pieces(_orthonormal(v.basis), np.eye(3))
+    pieces = _pieces(v.span, np.eye(3))
     left, sv, _ = np.linalg.svd(np.hstack([np.zeros((3, 0))] + pieces))
     k_dim = int(np.sum(sv > _DIRECTION_TOL))
     return IsotropicSpan(k_basis=left[:, :k_dim].T, k_dim=k_dim)
@@ -491,13 +493,14 @@ def rank_drop_certificate(v: ParamSubspace) -> str:
     Returns "condition1" when dim K = 1 and B w != 0 for some member B and
     the direction w spanning K, "condition2" when dim K = 2 and some member
     restricted to K is not a multiple of the identity, and "none" otherwise.
-    A nonzero verdict certifies n_p > n_cp != 0.
+    A nonzero verdict certifies n_p > n_cp given some nonzero CP member, and
+    nothing without: span{diag(1, -0.1, 0.5), E12 + E21} reads condition2, n_cp 0.
     """
-    span, forms = isotropic_span(v), _orthonormal(v.basis)
-    if span.k_dim == 1 and np.abs(forms @ span.k_basis[0]).max() > _DIRECTION_TOL:
+    k = isotropic_span(v)
+    if k.k_dim == 1 and np.abs(v.span @ k.k_basis[0]).max() > _DIRECTION_TOL:
         return "condition1"
-    if span.k_dim == 2:
-        f = span.k_basis @ forms @ span.k_basis.T
+    if k.k_dim == 2:
+        f = k.k_basis @ v.span @ k.k_basis.T
         # the traceless part on K, largest over its orthonormal bases
         if np.hypot(0.5 * (f[:, 0, 0] - f[:, 1, 1]), f[:, 0, 1]).max() > _DIRECTION_TOL:
             return "condition2"
