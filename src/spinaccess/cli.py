@@ -10,6 +10,7 @@ outputs re-read losslessly.
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import sys
 
@@ -254,12 +255,7 @@ def cmd_spin_field(args) -> int:
     coeffs = coefficients(model, b3)
     h, d = build_spin_generator(coeffs, u)
     out = {
-        "coefficients": {
-            "c11": coeffs.c11, "c12": coeffs.c12, "c13": coeffs.c13,
-            "c23": coeffs.c23, "c33": coeffs.c33,
-            "omega1": coeffs.omega1, "omega2": coeffs.omega2,
-            "omega3": coeffs.omega3, "b3": coeffs.b3,
-        },
+        "coefficients": dataclasses.asdict(coeffs),
         "hamiltonian_part": h.tolist(),
         "dissipation_part": d.tolist(),
         "cp_admissible": cp_admissible(coeffs),

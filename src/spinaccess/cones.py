@@ -14,13 +14,13 @@ Each cone is the PSD cone intersected with one linear subspace (V for
 complete positivity, D(V) for positivity), so the classification is
 facial reduction (Borwein and Wolkowicz 1981; Permenter and Parrilo 2018):
 either the subspace holds a definite matrix, or a nonzero PSD matrix Y is
-orthogonal to it and every admissible member lives on the face ker Y.  A
-pass decides a span {x M} from M's eigenpairs, a larger one from the
-projection P of I onto it: a definite P is a central point, a PSD I - P is
-Y, and on a 2x2 face one of them holds; only a 3x3 pass where neither does
-follows a log-det barrier, concave with one maximizer, to both.  At most
-three passes decide.  Only zero is admissible iff some Y is definite, and
-the depth of the unit-norm one found says how near that is to flipping.
+orthogonal to it and every admissible member lives on the face ker Y.  Each
+pass returns the face it found, from the eigenpairs that decide it: M's for
+a span {x M}, else those of the projection P of I onto the span, a central
+point when definite, and of Y = I - P when PSD, as one is on a 2x2 face;
+only a 3x3 pass where neither holds follows a log-det barrier to both.  At
+most three passes decide.  Only zero is admissible iff some Y is definite,
+and the depth of the unit-norm one found says how near that is to flipping.
 
 K is computed by a finite recursion: the common zeros of the forms w^T B w
 split, exactly to rounding, along singular members of their pencil
@@ -164,9 +164,9 @@ def is_positive(c: np.ndarray, tol: float = FEAS_TOL) -> bool:
 #: the Newton systems are too ill-conditioned to follow one (3a reads 2a).
 _MU_PATH = np.array([1.0, 1e-4, 1e-8])
 
-#: Eigenvalues of the trace-one dual at or below this span its kernel.  At
-#: the last barrier weight they are about 1e-8 on the face and of order one
-#: off it; the cut sits at the geometric middle.
+#: Eigenvalues of the barrier path's trace-one dual at or below this span the
+#: face of its pass; no other dual is cut.  At the last barrier weight they are
+#: about 1e-8 on the face and of order one off it: the cut is the geometric middle.
 _DUAL_CUT = 1e-4
 
 #: Unit-norm members whose part off the face has at most this norm count as
@@ -224,43 +224,48 @@ def _central_path(mats: np.ndarray):
 
 
 def _ray(member: np.ndarray, tol: float):
-    """_central_path's x and trace-one Y for one member M, exactly: if sigma M is PSD to depth
-    -tol, x = sigma = +-1, Y projects onto its eigenvectors at or below max(tol, lambda_min);
-    else x = 0, Y = (I + s M)^-1 at the root of d/ds prod(1 + s lambda_i) keeping it definite."""
+    """(x, face, dual) of one member M, exactly: if sigma M is PSD to depth -tol, x = sigma = +-1
+    and the face is None past depth tol, else its eigenvectors above tol; else x = 0, no face,
+    and the dual is (I + s M)^-1 at the root of d/ds prod(1 + s lambda_i) keeping it definite."""
     vals, vecs = np.linalg.eigh(member)
     sign = 1.0 if vals[0] + vals[-1] >= 0.0 else -1.0  # only the larger end's sign can be PSD
     cut, low = tol * np.linalg.norm(member), (sign * vals).min()
     if low >= -cut:
-        kernel = vecs[:, sign * vals <= max(low, cut)]
-        return np.array([sign]), kernel @ kernel.T / kernel.shape[1]
+        return np.array([sign]), None if low > cut else vecs[:, sign * vals > cut], None
     e1, e2, e3 = np.append(np.poly(-vals)[1:], 0.0)[:3].tolist()  # floats: a far root is inf
     q = -(e2 + float(np.copysign(np.sqrt(e2 * e2 - 3.0 * e1 * e3), e2)))  # roots e1/q, q/3e3
     s = max([e1 / q] + ([q / (3.0 * e3)] if e3 else []), key=lambda r: min(1.0 + r * vals))
     y = (vecs / (1.0 + s * vals)) @ vecs.T
-    return np.zeros(1), y / np.trace(y)
+    return np.zeros(1), vecs[:, :0], y / np.trace(y)
 
 
 def _projected(members: np.ndarray, tol: float):
-    """_central_path's x and trace-one Y for two or more orthonormal members, from the
-    projections of I onto their span, P (coordinates: the traces), and off it, N = I - P.
+    """(x, face, dual) of two or more orthonormal members, from the projections of I onto
+    their span, P (coordinates: the traces), and off it, N = I - P.
 
-    A P definite at ``tol`` meets the interior: x is its direction, and Y
-    projects onto its lowest eigenspace, the path's limit on a 2x2 face.  An
-    N PSD to depth -tol is orthogonal to the span: x = 0, Y = N.  Else a 3x3
-    face takes the barrier path; a 2x2 one never does.  Sym(2)'s PSD cone is
-    {p I/sqrt(2) + q : |q| <= p}, q traceless, and tr P = |P|^2 gives
-    |q|^2 = sqrt(2) p - p^2: p <= |q| forces p <= 1/sqrt(2), so |q| <= sqrt(2) - p, N PSD.
+    A P definite at ``tol`` meets the interior: x is its direction.  An N PSD to depth
+    -tol is orthogonal to the span: x = 0, the face is its kernel at ``tol`` tr N, read
+    off P's eigenvectors, and the dual N / tr N.  Else a 3x3 pass takes the barrier path:
+    the face is its dual's kernel at _DUAL_CUT unless its centre is deeper than ``tol``.
+    A 2x2 pass never does: Sym(2)'s PSD cone is {p I/sqrt(2) + q : |q| <= p}, q traceless,
+    and tr P = |P|^2 gives |q|^2 = sqrt(2) p - p^2: p <= |q| forces p <= 1/sqrt(2), so
+    |q| <= sqrt(2) - p, N PSD.
     """
     traces = np.einsum("kaa->k", members)
     projection = np.einsum("k,kab->ab", traces, members)
     vals, vecs = np.linalg.eigh(projection)
     if vals[0] > tol * np.linalg.norm(vals):
-        low = vecs[:, vals <= vals[0] + tol * np.linalg.norm(vals)]
-        return traces / np.linalg.norm(traces), low @ low.T / low.shape[1]
+        return traces / np.linalg.norm(traces), None, None
     normal = 1.0 - vals  # N's eigenvalues: it shares P's eigenvectors
     if len(vals) == 3 and normal.min() < -tol * np.linalg.norm(normal):
-        return _central_path(members)
-    return np.zeros(len(members)), (np.eye(len(vals)) - projection) / normal.sum()
+        x, dual = _central_path(members)
+        centre = np.einsum("k,kab->ab", x, members)
+        if np.linalg.eigvalsh(centre)[0] > tol * np.linalg.norm(centre):
+            return x, None, None
+        vals, vecs = np.linalg.eigh(dual)
+        return x, vecs[:, vals <= _DUAL_CUT], dual
+    face = vecs[:, normal <= tol * normal.sum()]
+    return np.zeros(len(members)), face, (np.eye(len(vals)) - projection) / normal.sum()
 
 
 def _canonical(members: np.ndarray) -> np.ndarray:
@@ -291,29 +296,25 @@ def _face(members: np.ndarray, tol: float):
     PSD cone holding every PSD member of the span, the canonical orthonormal
     basis of the span's members supported on that face (see _canonical), and
     the coordinates on that basis of its central point; at rank 0, no members
-    and the first pass's dual, 3x3 and definite, projected onto the complement
-    of the span.  While the central point of the current face is not strictly
-    feasible (depth at most ``tol``), the face shrinks to the dual's kernel, a
-    dimension or more.  _ray solves a one-member pass, _projected the others.
-    Only 0 is admissible iff the complement holds a definite matrix (Gordan), so
-    a singular N that starts a rank-0 reduction yields to the barrier dual.
+    and a definite dual, projected onto the complement of the span.  A pass,
+    _ray's for one member and _projected's for more, meets the interior or
+    returns the smaller face on which the next one runs.  Only 0 is admissible
+    iff the complement holds a definite matrix (Gordan): the first pass's dual
+    when it leaves no face, else the barrier path's, the first being singular.
     """
     span, u, first = members, np.eye(3), None
     while len(members) and u.shape[1]:
         reduced = np.einsum("ia,kij,jb->kab", u, members, u)
-        x, dual = _ray(reduced[0], tol) if len(members) == 1 else _projected(reduced, tol)
-        first = dual if first is None else first  # the one pass that sees the whole span
-        centre = np.einsum("k,kab->ab", x, reduced)
-        if np.linalg.eigvalsh(centre)[0] > tol * np.linalg.norm(centre):
+        x, face, dual = _ray(reduced[0], tol) if len(members) == 1 else _projected(reduced, tol)
+        if face is None:
             rotation = _canonical(members)
             return u.shape[1], np.einsum("jk,kab->jab", rotation, members), rotation @ x
-        vals, vecs = np.linalg.eigh(dual)
-        u = u @ vecs[:, vals <= _DUAL_CUT]
+        first = dual if u.shape[1] == 3 and not face.shape[1] else None  # a first pass that ends it
+        u = u @ face
         off = np.einsum("ij,kjl->kil", np.eye(3) - u @ u.T, members)
         _, sv, vt = np.linalg.svd(off.reshape(len(members), 9).T)
         members = np.einsum("jk,kab->jab", vt[sv <= _SUPPORT_CUT], members)
-    if np.linalg.eigvalsh(first)[0] <= tol * np.linalg.norm(first):
-        first = _central_path(span)[1]
+    first = _central_path(span)[1] if first is None else first
     return 0, members[:0], first - np.tensordot(np.tensordot(span, first, 2), span, 1)
 
 

@@ -18,7 +18,9 @@ that frame too (3a, exit 2, certificate condition2), whose P cone is
 decided on a 2x2 face by the projection of I onto it, and span{E11,
 E12+E21+2 E33}, rows {c11, c12 + 2 c33}, as given and in that frame (3b,
 n_cp 1, exit 2), and the singular-normal corner span{diag(1, -0.1, 1 - b),
-E12+E21}, b = (1 - sqrt(0.56))/2 (2b, exit 0).  Every other pass here is
+E12+E21}, b = (1 - sqrt(0.56))/2 (2b, exit 0), and the slightly indefinite
+ray span{diag(1, -1e-6, 0)} in the benchmark's frame (case 1, exit 0), whose
+one member's eigenpairs leave no face.  Every other pass here is
 exact, from one member's eigenpairs or from the projection of I, but the
 first CP pass of the coupled corner and of the parabola touch is decided by
 neither, and the singular-normal corner's CP cone, whose I - P = diag(0, 1.1,
@@ -71,6 +73,7 @@ SUBSPACES = {
                                                             [0.0, 0.0, 2.0]])]},
     "singular-normal corner": {"basis": [[1, -0.1, (1 + np.sqrt(0.56)) / 2, 0, 0, 0],
                                          [0, 0, 0, 1, 0, 0]]},
+    "slightly indefinite ray": {"basis": [_benchmark_frame(np.diag([1.0, -1e-6, 0.0]))]},
 }
 
 EXACT = ("case", "n", "n_p", "n_cp", "ambiguous", "certificate")

@@ -188,13 +188,12 @@ def test_thin_faces_behind_a_two_step_reduction_are_found(rows):
     assert (analysis.case_label, analysis.n_cp) == ("3b", 1)
 
 
-@pytest.mark.xfail(strict=True, reason="the member's part off the face e1 has norm 1e-6, "
-                   "exactly _SUPPORT_CUT, so rounding decides whether it stays on the face")
-def test_slightly_indefinite_ray_admits_nothing():
-    # span{diag(1, -1e-6, 0)}: neither the member nor its negative is positive
-    # or completely positive, so only zero is admissible, case 1; it reads 3a,
-    # with CP witnesses 1e-6 outside the cone, in some frames and 2a in others
-    c = np.diag([1.0, -1e-6, 0.0])
+@pytest.mark.parametrize("eps", [1e-8, 1e-7, 1e-6])
+def test_slightly_indefinite_ray_admits_nothing(eps):
+    # span{diag(1, -eps, 0)}: neither the member nor its negative is positive
+    # or completely positive, so only zero is admissible, case 1, in every
+    # frame: an indefinite ray leaves no face, however small its part off e1
+    c = np.diag([1.0, -eps, 0.0])
     for sign in (1.0, -1.0):
         assert not is_positive(sign * c) and not is_completely_positive(sign * c)
     rng = np.random.default_rng(49)
@@ -202,6 +201,23 @@ def test_slightly_indefinite_ray_admits_nothing():
     for q in frames:
         analysis = classify_subspace(ParamSubspace((q @ c @ q.T)[None]))
         assert (analysis.case_label, analysis.n_p, analysis.n_cp) == ("1", 0, 0)
+
+
+def test_one_member_spans_admit_what_the_psd_tests_admit():
+    # a span {x M} meets a cone beyond 0 iff M or -M lies in it, so n_p and
+    # n_cp are the PSD tests of +-M, also where an eigenvalue of M or of D(M)
+    # sits just inside or outside the cone, at any scale and in any frame
+    rng = np.random.default_rng(23)
+    for eps in (0.0, 1e-10, -1e-10, 1e-8, -1e-8, 1e-6, -1e-6, 1e-5, -1e-5):
+        for _ in range(30):
+            d1, d2 = rng.uniform(0.5, 2.0), rng.choice([-1.0, 0.0, 1.0]) * rng.uniform(0.1, 1.0)
+            s = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, 6.0)
+            q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+            c = s * q @ np.diag([d1, d2, eps]) @ q.T
+            analysis = classify_subspace(ParamSubspace(c[None]))
+            expected = (int(is_positive(c) or is_positive(-c)),
+                        int(is_completely_positive(c) or is_completely_positive(-c)))
+            assert (analysis.n_p, analysis.n_cp) == expected, (eps, d1, d2, s)
 
 
 def test_extent_positive_for_spin_field_pattern():
@@ -480,6 +496,18 @@ def _fully_centred_path(mats):
     return z[1:], y / np.trace(y)
 
 
+def _centred_pass(mats):
+    """_fully_centred_path as a facial-reduction pass (x, face, dual), read as the
+    barrier path is: no face when sum_k x_k M_k is deeper than FEAS_TOL, and
+    otherwise the kernel of the dual at _DUAL_CUT."""
+    x, dual = _fully_centred_path(mats)
+    centre = np.einsum("k,kab->ab", x, mats)
+    if np.linalg.eigvalsh(centre)[0] > cones.FEAS_TOL * np.linalg.norm(centre):
+        return x, None, dual
+    vals, vecs = np.linalg.eigh(dual)
+    return x, vecs[:, vals <= cones._DUAL_CUT], dual
+
+
 def _coordinate_subspaces():
     """All 63 coordinate patterns, each as given and in two random frames,
     at element scales 1e-6..1e6 and with basis mixing."""
@@ -585,7 +613,7 @@ def test_projection_passes_keep_the_verdicts_of_full_centring(monkeypatch):
     # member
     subspaces = list(_random_subspaces())
     ours = [classify_subspace(v) for v in subspaces]
-    monkeypatch.setattr(cones, "_projected", lambda members, tol: _fully_centred_path(members))
+    monkeypatch.setattr(cones, "_projected", lambda members, tol: _centred_pass(members))
     for v, analysis in zip(subspaces, ours):
         full = classify_subspace(v)
         assert ((analysis.case_label, analysis.n_p, analysis.n_cp, analysis.ambiguous)
@@ -613,7 +641,7 @@ def test_exact_rays_match_full_centring(monkeypatch):
     rays = list(_rays())
     exact = [(classify_subspace(v), [cones._analyze_cone(v, cone, cones.FEAS_TOL)
                                      for cone in ("P", "CP")]) for v in rays]
-    monkeypatch.setattr(cones, "_ray", lambda member, tol: _fully_centred_path(member[None]))
+    monkeypatch.setattr(cones, "_ray", lambda member, tol: _centred_pass(member[None]))
     cases = set()
     for v, (ours, our_cones) in zip(rays, exact):
         theirs = classify_subspace(v)
@@ -665,26 +693,20 @@ def _planted_faces():
 
 
 def test_two_by_two_faces_match_full_centring():
-    # a pass on a 2x2 face is decided by the projections of I: the centre
-    # direction agrees with the fully centred path's, or x = 0 and the fully
-    # centred centre fails the depth test, and both duals have the same kernel
-    # at _DUAL_CUT; a missing plane's dual is definite and orthogonal to the
-    # plane
-    def kernel(dual):
-        vals, vecs = np.linalg.eigh(dual)
-        return vecs[:, vals <= cones._DUAL_CUT] @ vecs[:, vals <= cones._DUAL_CUT].T
-
+    # a pass on a 2x2 face is decided by the projections of I: both it and
+    # the fully centred path meet the interior, in the same direction, or
+    # x = 0 and both find the same face, N's kernel, with a trace-one dual; a
+    # missing plane's dual is definite and orthogonal to the plane
     outcomes = set()
     for outcome, members in _planted_faces():
-        x, dual = cones._projected(members, cones.FEAS_TOL)
-        path_x, path_dual = _fully_centred_path(members)
-        assert np.abs(kernel(dual) - kernel(path_dual)).max() <= 1e-12, outcome
-        assert abs(np.trace(dual) - 1.0) <= 1e-12, outcome
+        x, face, dual = cones._projected(members, cones.FEAS_TOL)
+        path_x, path_face, _ = _centred_pass(members)
         if outcome in ("tangent", "missing"):
-            centre = np.einsum("k,kab->ab", path_x, members)
+            assert np.abs(face @ face.T - path_face @ path_face.T).max() <= 1e-12, outcome
+            assert abs(np.trace(dual) - 1.0) <= 1e-12, outcome
             assert not x.any(), outcome
-            assert np.linalg.eigvalsh(centre)[0] <= cones.FEAS_TOL * np.linalg.norm(centre)
         else:
+            assert face is None and path_face is None, outcome
             assert np.abs(x - path_x / np.linalg.norm(path_x)).max() <= 1e-12, outcome
             assert np.linalg.eigvalsh(np.einsum("k,kab->ab", x, members))[0] > cones.FEAS_TOL
         if outcome == "missing":
@@ -729,10 +751,13 @@ def test_rank_zero_extent_lies_between_complement_depth_and_zero(monkeypatch):
     # the certifying dual is a unit member of the complement, so it is at
     # most as deep as the complement's deepest member, and definite; the
     # complements of rank-0 coordinate patterns all hold I, random subspaces
-    # give the bound room, and in the thin pairs below facial reduction
-    # reaches rank 0 only at a second pass, in 2x2 face coordinates, where
-    # one member is left and _ray solves it; in the last span, I - P =
-    # diag(0, 1.1, b) is PSD but singular, so the barrier dual certifies it
+    # give the bound room.  In the thin pairs below N = I - P is definite,
+    # its two small eigenvalues 5e-5 or 5e-6 of its trace, so the first
+    # pass certifies them and neither _ray nor the barrier path runs.  A
+    # singular N with a 2-dimensional kernel K, N PSD and <N, P> = 0, forces
+    # P = I_K + 0, definite on K, so the next pass meets the interior; in the
+    # last span, I - P = diag(0, 1.1, b) is PSD with a 1-dimensional kernel,
+    # no member lies on it, and the barrier dual certifies the span
     rng = np.random.default_rng(16)
     random = [ParamSubspace(a + a.transpose(0, 2, 1))
               for a in (rng.standard_normal((rng.integers(1, 7), 3, 3)) for _ in range(100))]
@@ -757,7 +782,7 @@ def test_rank_zero_extent_lies_between_complement_depth_and_zero(monkeypatch):
     for v, label in thin:
         sizes.clear()
         assert classify_subspace(v).case_label == label
-        assert 2 in sizes
+        assert sizes == []
     checked = 0
     for v in itertools.chain(_coordinate_subspaces(), random, (v for v, _ in thin), singular):
         analysis = classify_subspace(v)
@@ -768,3 +793,19 @@ def test_rank_zero_extent_lies_between_complement_depth_and_zero(monkeypatch):
                 assert _complement_extent(v, cone) - 1e-12 <= extent < 0.0
                 checked += 1
     assert checked > 0
+
+
+def test_passes_decide_from_their_own_eigenpairs(monkeypatch):
+    # each pass returns the face it found, read off the eigenpairs that
+    # decided it, and no centre or dual is decomposed again to decide it:
+    # classifying the 63 coordinate patterns as given takes 548
+    # eigendecompositions
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, lambda *args, solve=getattr(np.linalg, name):
+                            calls.append(solve) or solve(*args))
+    names = ["c11", "c22", "c33", "c12", "c13", "c23"]
+    for k in range(1, 7):
+        for entries in itertools.combinations(names, k):
+            classify_subspace(ParamSubspace.from_free_entries(entries))
+    assert len(calls) <= 548
