@@ -72,17 +72,14 @@ class ParamSubspace:
         basis = np.asarray(self.basis, dtype=float)
         if basis.ndim != 3 or basis.shape[1:] != (3, 3):
             raise ValueError(f"basis must have shape (n, 3, 3), got {basis.shape}")
-        n = basis.shape[0]
-        if not 1 <= n <= 6:
-            raise ValueError(f"basis size must be between 1 and 6, got {n}")
-        for k in range(n):
-            basis[k] = require_symmetric(basis[k], f"basis element {k}")
-        self.basis = basis
+        if not 1 <= len(basis) <= 6:
+            raise ValueError(f"basis size must be between 1 and 6, got {len(basis)}")
+        self.basis = basis = require_symmetric(basis, "basis")
         # every later step normalizes each element, at any scale
-        if not basis.reshape(n, 9).any(axis=1).all():
+        if not basis.reshape(-1, 9).any(axis=1).all():
             raise ValueError("basis contains a zero element")
         self.span = _orthonormal(basis)
-        if len(self.span) != n:
+        if len(self.span) != len(basis):
             raise ValueError("basis elements are not linearly independent")
 
     @classmethod
@@ -320,8 +317,8 @@ def _face(members: np.ndarray, tol: float):
 
 def _analyze_cone(v: ParamSubspace, cone: str, tol: float):
     """Face rank, admissible span dimension, signed depth and witnesses."""
-    members = v.span if cone == "CP" else _orthonormal(np.stack(  # scaled: D cannot overflow
-        [dissipation_from_kossakowski(b) for b in pow2_scaled(v.basis)]))
+    members = v.span if cone == "CP" else _orthonormal(  # scaled: D cannot overflow
+        dissipation_from_kossakowski(pow2_scaled(v.basis)))
     rank, members, x_or_dual = _face(members, tol)
     if rank == 0:  # minus the depth of the certificate
         return 0, 0, -float(np.linalg.eigvalsh(x_or_dual)[0] / np.linalg.norm(x_or_dual)), []
@@ -331,10 +328,10 @@ def _analyze_cone(v: ParamSubspace, cone: str, tol: float):
     # norm, so it moves the face eigenvalues of the centre by at most the step
     u = np.linalg.eigh(centre)[1][:, 3 - rank:]
     step = 0.5 * np.linalg.eigvalsh(u.T @ centre @ u)[0]
-    witnesses = [centre] + [centre + step * m for m in members]
+    witnesses = np.concatenate([centre[None], centre + step * members])
     if cone == "P":
-        witnesses = [kossakowski_from_dissipation(w) for w in witnesses]
-    return rank, len(members), float(np.linalg.eigvalsh(centre)[0]), witnesses
+        witnesses = kossakowski_from_dissipation(witnesses)
+    return rank, len(members), float(np.linalg.eigvalsh(centre)[0]), list(witnesses)
 
 
 def classify_subspace(v: ParamSubspace, tol: float = FEAS_TOL) -> ConeAnalysis:

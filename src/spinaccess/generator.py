@@ -9,7 +9,8 @@ h_k = Tr(H sigma_k)/2.  On the coherence vector the equation of motion is
 where D = 2 (I Tr C - C) is the symmetric dissipation matrix and Hmat(h)
 the skew-symmetric Hamiltonian matrix.  The factor-of-2 conventions in
 ``dissipation_from_kossakowski`` and ``hamiltonian_matrix`` are load-bearing:
-every rate and frequency downstream inherits them.
+every rate and frequency downstream inherits them.  The C <-> D bijection and
+the symmetry check take one matrix or a stack (..., 3, 3).
 
 Symmetric matrices serialize as the 6-vector (c11, c22, c33, c12, c13, c23);
 all modules use this ordering.
@@ -25,15 +26,16 @@ HMAT_FACTOR = 2.0
 
 
 def require_symmetric(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """``m`` as a float array; ValueError unless finite, 3x3 and relatively symmetric."""
+    """One matrix or a stack as floats; ValueError unless finite, 3x3 and relatively symmetric."""
     m = np.asarray(m, dtype=float)
-    if m.shape != (3, 3):
+    if m.shape[-2:] != (3, 3):
         raise ValueError(f"{name} must be 3x3, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} has non-finite entries")
-    if np.max(np.abs(m - m.T)) > _SYM_TOL * np.max(np.abs(m)):
+    mt = np.swapaxes(m, -2, -1)
+    if np.any(np.abs(m - mt).max(axis=(-2, -1)) > _SYM_TOL * np.abs(m).max(axis=(-2, -1))):
         raise ValueError(f"{name} is not symmetric")
-    return 0.5 * m + 0.5 * m.T
+    return 0.5 * m + 0.5 * mt
 
 
 def pow2_scaled(mats: np.ndarray) -> np.ndarray:
@@ -74,27 +76,27 @@ def vec6_to_sym(v: np.ndarray) -> np.ndarray:
 
 
 def dissipation_from_kossakowski(c: np.ndarray) -> np.ndarray:
-    """Dissipation matrix D = 2 (I Tr C - C) of a coefficient matrix C.
+    """Dissipation matrix D = 2 (I Tr C - C) of a coefficient matrix C, one matrix or a stack.
 
     Entrywise, D11 = 2(c22 + c33), D12 = -2 c12, and cyclic permutations, so
     no diagonal entry suffers the cancellation of Tr C - c11.  ValueError
     when D overflows, as it can for a C near the largest double.
     """
     c = require_symmetric(c, "kossakowski matrix")
-    diag = np.diagonal(c)
+    diag = np.diagonal(c, axis1=-2, axis2=-1)
     with np.errstate(over="ignore"):  # refused below
         d = -2.0 * c
-        np.fill_diagonal(d, 2.0 * (diag[[1, 0, 0]] + diag[[2, 2, 1]]))
+        d[..., [0, 1, 2], [0, 1, 2]] = 2.0 * (diag[..., [1, 0, 0]] + diag[..., [2, 2, 1]])
     if not np.isfinite(d).all():
         raise ValueError("dissipation matrix overflows")
     return d
 
 
 def kossakowski_from_dissipation(d: np.ndarray) -> np.ndarray:
-    """Invert :func:`dissipation_from_kossakowski`: C = Tr(D / 4) I - D / 2, finite for
-    any finite D, as its entries and the partial sums of Tr(D / 4) are <= 3/4 max |D|."""
+    """Invert :func:`dissipation_from_kossakowski`, one matrix or a stack: C = Tr(D/4) I - D/2,
+    finite for any finite D, as its entries and the partial sums of Tr(D/4) are <= 3/4 max |D|."""
     d = require_symmetric(d, "dissipation matrix")
-    return np.trace(d / 4.0) * np.eye(3) - d / 2.0
+    return np.trace(d / 4.0, axis1=-2, axis2=-1)[..., None, None] * np.eye(3) - d / 2.0
 
 
 def hamiltonian_matrix(h: np.ndarray) -> np.ndarray:

@@ -809,3 +809,49 @@ def test_passes_decide_from_their_own_eigenpairs(monkeypatch):
         for entries in itertools.combinations(names, k):
             classify_subspace(ParamSubspace.from_free_entries(entries))
     assert len(calls) <= 548
+
+
+def test_cone_analysis_maps_each_basis_in_one_call(monkeypatch):
+    # the P cone maps a subspace's basis to D, and its witnesses back to C,
+    # one stack each: at most 63 calls each on the 63 coordinate patterns
+    calls = {"dissipation_from_kossakowski": 0, "kossakowski_from_dissipation": 0}
+    for name in calls:
+        monkeypatch.setattr(cones, name, lambda mats, name=name, convert=getattr(cones, name):
+                            calls.__setitem__(name, calls[name] + 1) or convert(mats))
+    names = ["c11", "c22", "c33", "c12", "c13", "c23"]
+    for k in range(1, 7):
+        for entries in itertools.combinations(names, k):
+            classify_subspace(ParamSubspace.from_free_entries(entries))
+    assert max(calls.values()) <= 63, calls
+
+
+def _near_axis_frames():
+    """(pattern index, subspace) of the library in the frames R_a(pi/4) R_b(theta),
+    a, b in {x, y, z} and theta from 3e-8 to 1e-6: 648 subspaces."""
+    for index, (_, kwargs, *_) in enumerate(PATTERNS):
+        v = build(kwargs)
+        for a, b in itertools.product(np.eye(3), repeat=2):
+            for theta in (3e-8, 1e-7, 3e-7, 1e-6):
+                q = _rotation(a, np.pi / 4) @ _rotation(b, theta)
+                yield index, ParamSubspace(np.stack([q @ m @ q.T for m in v.basis]))
+
+
+def test_near_axis_frames_keep_the_cone_verdicts():
+    for index, v in _near_axis_frames():
+        name, _, case, n_p, n_cp, *_ = PATTERNS[index]
+        analysis = classify_subspace(v)
+        assert (analysis.case_label, analysis.n_p, analysis.n_cp) == (case, n_p, n_cp), name
+
+
+@pytest.mark.xfail(strict=True, reason="a pencil split leaves a common zero about 3e-8 off "
+                   "its planes in a frame near a coordinate axis, so the lines found there "
+                   "carry restricted forms above _ISOTROPIC_TOL: zero-22, zero-33 and "
+                   "diagonal plus z-coupling read k_dim 0 for 1 and corner plus two "
+                   "couplings 3 for 2, the count depending on the BLAS kernel")
+def test_near_axis_frames_keep_the_isotropic_span():
+    misread = []
+    for index, v in _near_axis_frames():
+        got = (isotropic_span(v).k_dim, rank_drop_certificate(v))
+        if got != PATTERNS[index][5:]:
+            misread.append((PATTERNS[index][0], got))
+    assert not misread

@@ -189,8 +189,10 @@ def test_bijection_refuses_or_avoids_overflow():
     # warning; C of a finite D is finite, and maps back to it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="dissipation matrix overflows"):
-            dissipation_from_kossakowski(1e308 * np.diag([1.0, 0.0, 1.0]))
+        overflowing = 1e308 * np.diag([1.0, 0.0, 1.0])
+        for c in (overflowing, np.stack([np.eye(3), overflowing, np.eye(3)])):
+            with pytest.raises(ValueError, match="^dissipation matrix overflows$"):
+                dissipation_from_kossakowski(c)
         for d in (1.7e308 * np.eye(3), np.diag([-1.7e308, 1.7e308, 1.7e308]),
                   np.full((3, 3), 1.7e308)):
             back = dissipation_from_kossakowski(kossakowski_from_dissipation(d))
@@ -206,11 +208,48 @@ def test_non_finite_entries_rejected(bad):
 
 
 def test_shapes_rejected():
-    with pytest.raises(ValueError, match="C must be 3x3"):
-        require_symmetric(np.eye(2), "C")
+    for m in (np.eye(2), np.ones((2, 2, 2))):
+        with pytest.raises(ValueError, match="C must be 3x3"):
+            require_symmetric(m, "C")
     for v in ([1, 2, 3, 4, 5], np.eye(6)):
         with pytest.raises(ValueError, match="6-vector"):
             vec6_to_sym(v)
     for h in ([0, 1], np.eye(3)):
         with pytest.raises(ValueError, match="3-vector"):
             hamiltonian_matrix(h)
+
+
+_CONVENTIONS = [(require_symmetric, "matrix"),
+                (dissipation_from_kossakowski, "kossakowski matrix"),
+                (kossakowski_from_dissipation, "dissipation matrix")]
+
+
+def test_stacked_conventions_equal_single_calls_bitwise():
+    # a (4, 5, 3, 3) stack at element scales 1e-300..1e300, each matrix
+    # symmetric only to rounding, maps matrix by matrix as single calls do
+    rng = np.random.default_rng(33)
+    a = rng.standard_normal((4, 5, 3, 3)) * 10.0 ** rng.uniform(-300.0, 300.0, (4, 5, 1, 1))
+    stack = a + np.swapaxes(a, -2, -1)
+    stack[..., 0, 1] *= 1.0 + 2e-16
+    for convention, _ in _CONVENTIONS:
+        mapped = convention(stack)
+        assert mapped.shape == stack.shape
+        for idx in np.ndindex(stack.shape[:2]):
+            assert mapped[idx].tobytes() == convention(stack[idx]).tobytes(), idx
+
+
+@pytest.mark.parametrize("convention,name", _CONVENTIONS, ids=[c[1] for c in _CONVENTIONS])
+def test_stack_with_one_bad_matrix_raises_the_single_matrix_message(convention, name):
+    # the symmetry test is relative to each matrix, so an asymmetric small
+    # matrix is refused beside a large symmetric one
+    stack = np.stack([1e6 * np.eye(3)] * 4)
+    asymmetric, non_finite = stack.copy(), stack.copy()
+    asymmetric[2] = 1e-12 * np.eye(3)
+    asymmetric[2, 0, 1] = 2e-12
+    non_finite[1, 1, 2] = non_finite[1, 2, 1] = np.nan
+    for bad, k, message in ((asymmetric, 2, "is not symmetric"),
+                            (non_finite, 1, "has non-finite entries")):
+        for mats in (bad[k], bad):
+            with pytest.raises(ValueError) as refused:
+                convention(mats)
+            assert str(refused.value) == f"{name} {message}"

@@ -227,6 +227,18 @@ def test_near_equal_rates_keep_dimension_four(delta):
         assert not closure.is_transitive
 
 
+@pytest.mark.xfail(strict=True, reason="just below its resolution limit the closure "
+                   "overshoots to the full algebra: delta = 1e-8 reads 9, a false "
+                   "accessible, where the algebra has dimension 4")
+def test_rates_one_part_in_1e8_apart_keep_dimension_four():
+    rng = np.random.default_rng(12)
+    for k in range(10):
+        q = rotation_from(rng.standard_normal((3, 3)))
+        c = q @ np.diag([1.0, 1.0 + 1e-8, 0.0]) @ q.T
+        closure = lie_closure(switching_generators(q[:, 2], dissipation_from_kossakowski(c)))
+        assert closure.dim == 4, k
+
+
 def gram_schmidt_closure_dim(generators, tol=1e-9, zero_bracket=1e-12):
     """Dimension from the breadth-first Gram-Schmidt closure lie_closure replaced.
 
