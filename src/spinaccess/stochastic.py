@@ -40,9 +40,9 @@ _COV_TOL = 1e-12
 #: the 2000 x 1000 README run.  Each realization is charged at least
 #: NOISE_CHUNK steps, the noise it draws however few steps it takes.  At the
 #: bound, on a 2-core host, a CLI ``montecarlo`` of 100 samples of 1e5
-#: steps, white or exponential, took 5 s, most of it in the per-step
-#: rotation, and peaked at 60 MB resident (37 MB for 100 steps; the rest is
-#: the report's per-time arrays); 156,250 samples of one step took 2.9-3.3 s
+#: steps took 1.6 s white and 1.8 s exponential, most of it in the per-step
+#: rotation, and peaked at 55-57 MB resident (37 MB for 100 steps; the rest
+#: is the report's per-time arrays); 156,250 samples of one step took 1.4 s
 #: and peaked at 39 MB.
 MAX_SAMPLE_STEPS = 10_000_000
 
@@ -200,17 +200,20 @@ def _time_grid(dt: float, t_final: float, n_samples: int = 1) -> np.ndarray:
 
 
 #: Steps of noise drawn per call of a sample's generator.  A call costs
-#: about 2.4 us on a 2-core host; the draws held take 16 bytes per sample
+#: about 1.7 us on a 2-core host; the draws held take 16 bytes per sample
 #: and step, beside about 1 kB per sample for its generator.
 NOISE_CHUNK = 64
 
-#: Steps whose rotation axes and angles are computed in one pass; about
-#: 170 bytes per sample and step are held while they are applied.
+#: Steps whose rotation axes and angles are computed in one pass.  Their
+#: arrays, 57 bytes per sample and step, are allocated once per lockstep
+#: group and reused; each chunk's states, 24 bytes per sample and step, are
+#: new.
 ROTATION_CHUNK = 8
 
 #: Samples advanced together; larger ensembles run in consecutive groups.
-#: A group holds about 3 MB, and the README's 2000 samples ran no slower in
-#: two groups than in one.
+#: A group holds about 3 MB.  The benchmark's 2000 bivariate samples of
+#: 1000 steps ran 3% faster in one group than in two, at a traced peak of
+#: 6.2 MB against 3.25 MB.
 LOCKSTEP_SAMPLES = 1024
 
 
@@ -230,6 +233,15 @@ def _state_chunks(model, b3, u, v0, durations, seed, sample_indices):
     advance together, one step at a time, by the Rodrigues formula
     v cos + (a x v) sin + a (a . v)(1 - cos), written per component for the
     unit axis a = (a1, 0, a3).
+
+    Each rotation chunk's draws are copied once, transposed, from the
+    sample-major noise into component planes (2, steps, samples), so every
+    later call reads and writes rows of samples that lie contiguous in
+    memory: the correlation and the axes act on whole (steps, samples)
+    planes, the exponential recursion on one step's (2, samples) fields, and
+    the rotation on one step's (samples,) rows.  All of them write into
+    arrays allocated once per call, so no step allocates array memory; only
+    each chunk of states, which is yielded, is new.
     """
     n_steps = len(durations)
     root = _cov_sqrt(model.covariance)
@@ -244,58 +256,115 @@ def _state_chunks(model, b3, u, v0, durations, seed, sample_indices):
         # the innovation into step j
         phi = np.exp(-durations / model.tau)
         innov = np.sqrt(1.0 - phi**2)
-    chunk = np.repeat(np.asarray(v0, dtype=float)[None, :, None], len(rngs), axis=2)
-    draws = np.empty((len(rngs), NOISE_CHUNK, 2))
+    n = len(rngs)
+    chunk = np.repeat(np.asarray(v0, dtype=float)[None, :, None], n, axis=2)
+    draws = np.empty((n, NOISE_CHUNK, 2))
+    # one rotation chunk's arrays, every step a contiguous row of samples:
+    # as (component, step, sample) the draws, later the squared axes, and
+    # the fields, later the unit axes; as (step, sample) the angles, later
+    # their sines, the cosines and one minus them; the exponential family's
+    # field carried into the next chunk; and three rows for the rotation
+    planes, fields = np.empty((2, 2, ROTATION_CHUNK, n))
+    angles, cosines, omcs = np.empty((3, ROTATION_CHUNK, n))
+    still = np.empty((ROTATION_CHUNK, n), dtype=bool)
+    carry = np.empty((2, n))
+    dot, tmp, tmp2 = np.empty((3, n))
+    # bound once: the per-step loops below make 25 calls a step
+    mul, add, sub = np.multiply, np.add, np.subtract
     for start in range(0, n_steps, NOISE_CHUNK):
         z = draws[:, :n_steps - start]
-        for row, rng in enumerate(rngs):
-            rng.standard_normal(out=z[row])
+        for rng, row in zip(rngs, z):
+            rng.standard_normal(out=row)
         for lo in range(0, z.shape[1], ROTATION_CHUNK):
             first = start + lo
-            # the two draws of each step and sample as (steps, samples) planes;
-            # fields are written step-major, as the steps are read in turn
-            draw1, draw2 = z[:, lo:lo + ROTATION_CHUNK].transpose(2, 1, 0)
-            fields = np.empty(draw1.shape + (2,))
-            for i, (r1, r2) in enumerate(root):
-                np.add(draw1 * r1, draw2 * r2, out=fields[..., i])
-            steps = slice(first, first + len(fields))
+            k = min(ROTATION_CHUNK, z.shape[1] - lo)
+            steps = slice(first, first + k)
+            zt, f = planes[:, :k], fields[:, :k]
+            np.copyto(zt, z[:, lo:lo + k].transpose(2, 1, 0))
+            prod = cosines[:k]
+            for field, (r1, r2) in zip(f, root):
+                np.multiply(zt[0], r1, out=field)
+                np.multiply(zt[1], r2, out=prod)
+                field += prod
             if white:
-                fields *= scale[steps, None, None]
+                f *= scale[steps, None]
             else:
-                for j, field in enumerate(fields, start=first):
-                    if j > 0:
-                        field *= innov[j - 1]
-                        field += phi[j - 1] * beta
-                    beta = field
+                # beta_j = innov_{j-1} z_j + phi_{j-1} beta_{j-1} for j > 0:
+                # the innovations scaled in one pass, then summed in turn
+                j0 = max(first, 1)
+                f[:, j0 - first:] *= innov[j0 - 1:first + k - 1, None]
+                prod = zt[:, 0]
+                prev = carry if first else f[:, 0]
+                for j in range(j0, first + k):
+                    mul(prev, phi[j - 1], prod)
+                    prev = f[:, j - first]
+                    add(prev, prod, prev)
+                np.copyto(carry, prev)
             yield chunk
-            # unit axis components and angles, each (steps, samples)
-            a1 = HMAT_FACTOR * fields[..., 0]
-            a3 = HMAT_FACTOR * (u * b3 + fields[..., 1])
-            speed = np.sqrt(a1**2 + a3**2)
-            moving = ~(speed < 1e-300)
-            a1 = np.divide(a1, speed, out=np.zeros_like(a1), where=moving)
-            a3 = np.divide(a3, speed, out=np.zeros_like(a3), where=moving)
+            # the unit axes (a1, a3) in place of the fields, and the angles
+            f[1] += u * b3
+            f *= HMAT_FACTOR
+            sq = np.square(f, out=zt)
+            speed = np.add(sq[0], sq[1], out=angles[:k])
+            np.sqrt(speed, out=speed)
+            stopped = np.less(speed, 1e-300, out=still[:k])
+            if stopped.any():
+                np.divide(f, speed, out=f, where=~stopped)
+                np.copyto(f, 0.0, where=stopped)
+            else:
+                np.divide(f, speed, out=f)
             theta = np.multiply(speed, durations[steps, None], out=speed)
-            cos_t = np.cos(theta)
-            omc = 1.0 - cos_t
+            cos_t = np.cos(theta, out=cosines[:k])
+            omc = np.subtract(1.0, cos_t, out=omcs[:k])
             sin_t = np.sin(theta, out=theta)
-            states, chunk = chunk[-1], np.empty((len(fields), 3, len(rngs)))
-            for a1_j, a3_j, c, s, o, new in zip(a1, a3, cos_t, sin_t, omc, chunk):
+            states, chunk = chunk[-1], np.empty((k, 3, n))
+            for a1, a3, c, s, o, new in zip(*f, cos_t, sin_t, omc, chunk):
                 v1, v2, v3 = states
-                dot = a1_j * v1 + a3_j * v3
-                new[0] = v1 * c - a3_j * v2 * s + a1_j * dot * o
-                new[1] = v2 * c + (a3_j * v1 - a1_j * v3) * s
-                new[2] = v3 * c + a1_j * v2 * s + a3_j * dot * o
+                n1, n2, n3 = new
+                # dot = a1 v1 + a3 v3
+                mul(a1, v1, dot)
+                mul(a3, v3, tmp)
+                add(dot, tmp, dot)
+                # n1 = (v1 c - (a3 v2) s) + (a1 dot) o
+                mul(v1, c, n1)
+                mul(a3, v2, tmp)
+                mul(tmp, s, tmp)
+                sub(n1, tmp, n1)
+                mul(a1, dot, tmp)
+                mul(tmp, o, tmp)
+                add(n1, tmp, n1)
+                # n2 = v2 c + (a3 v1 - a1 v3) s
+                mul(v2, c, n2)
+                mul(a3, v1, tmp)
+                mul(a1, v3, tmp2)
+                sub(tmp, tmp2, tmp)
+                mul(tmp, s, tmp)
+                add(n2, tmp, n2)
+                # n3 = (v3 c + (a1 v2) s) + (a3 dot) o
+                mul(v3, c, n3)
+                mul(a1, v2, tmp)
+                mul(tmp, s, tmp)
+                add(n3, tmp, n3)
+                mul(a3, dot, tmp)
+                mul(tmp, o, tmp)
+                add(n3, tmp, n3)
                 states = new
     yield chunk
 
 
-def _check_mc_preconditions(model: CorrelationModel, dt: float):
+def _check_mc_preconditions(model: CorrelationModel, b3: float, u: float, v0, dt: float):
+    """Refuse, before any noise is drawn, what sampling cannot run or would
+    fill with NaN."""
     if model.family == "zero":
         raise InvalidModelError("Monte Carlo sampling needs a white or exponential family")
     if model.family == "exponential" and dt > model.tau / 10.0:
         raise StepSizeError(
             f"dt = {dt} too coarse for correlation time {model.tau}; need dt <= tau/10")
+    if not np.isfinite([b3, u]).all():
+        raise ValueError(f"b3 and u must be finite, got b3 = {b3}, u = {u}")
+    v0 = np.asarray(v0, dtype=float)
+    if v0.shape != (3,) or not np.isfinite(v0).all():
+        raise ValueError(f"v0 must be three finite numbers, got {v0.tolist()}")
 
 
 def mc_sample(model: CorrelationModel, b3: float, u: float, v0: np.ndarray,
@@ -312,8 +381,10 @@ def mc_sample(model: CorrelationModel, b3: float, u: float, v0: np.ndarray,
         For the zero family (nothing to sample).
     StepSizeError
         For an exponential family with dt > tau / 10.
+    ValueError
+        For a non-finite b3, u or v0, or a v0 that is not three numbers.
     """
-    _check_mc_preconditions(model, dt)
+    _check_mc_preconditions(model, b3, u, v0, dt)
     times = _time_grid(dt, t_final)
     states = np.concatenate([chunk[..., 0] for chunk in
                              _state_chunks(model, b3, u, v0, np.diff(times), seed, [0])])
@@ -344,7 +415,8 @@ def mc_validate(model: CorrelationModel, b3: float, u: float, v0: np.ndarray,
     ``seed``), propagates the same initial state with the closed-form
     generator, and reports componentwise deviations with their standard
     errors, both at 0 and ``sample_times(t_final, dt)``, as ``evolve_schedule``
-    samples a segment of duration t_final.
+    samples a segment of duration t_final.  Inputs ``mc_sample`` refuses,
+    and fewer than 100 samples, raise before any noise is drawn.
 
     Up to LOCKSTEP_SAMPLES realizations advance together, one time step at
     a time, their noise drawn NOISE_CHUNK steps at a time, so the memory
@@ -368,7 +440,7 @@ def mc_validate(model: CorrelationModel, b3: float, u: float, v0: np.ndarray,
     """
     if n_samples < 100:
         raise ValueError(f"need at least 100 samples, got {n_samples}")
-    _check_mc_preconditions(model, dt)
+    _check_mc_preconditions(model, b3, u, v0, dt)
     times = _time_grid(dt, t_final, n_samples)
     durations = np.diff(times)
 

@@ -1,10 +1,13 @@
 import tracemalloc
+import warnings
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
+from spinaccess import stochastic
 from spinaccess import (ControlSchedule, CorrelationModel, InvalidModelError,
                         StepSizeError, build_spin_generator, coefficients,
                         cp_admissible, evolve_schedule,
@@ -284,6 +287,42 @@ def test_mc_rejects_zero_family_and_coarse_steps():
         mc_sample(model, 1.0, 1.0, [0.5, 0, 0], 0.02, 1.0, 0)
 
 
+@pytest.mark.parametrize("b3, u, v0, match", [
+    (1.0, 1.0, [np.nan, 0.0, 0.0], "v0"),
+    (1.0, 1.0, [0.5, np.inf, 0.0], "v0"),
+    (1.0, 1.0, [0.5, 0.0], "v0"),
+    (1.0, np.inf, [0.5, 0.0, 0.0], "b3 and u"),
+    (np.nan, 1.0, [0.5, 0.0, 0.0], "b3 and u"),
+], ids=["v0-nan", "v0-inf", "v0-short", "u-inf", "b3-nan"])
+def test_mc_rejects_non_finite_inputs_before_sampling(monkeypatch, b3, u, v0, match):
+    # refused up front, not after the whole ensemble has been drawn (nor, for
+    # mc_sample, returned as an all-NaN trajectory)
+    def no_sampling(*args):
+        raise AssertionError("noise drawn for inputs that are refused")
+
+    monkeypatch.setattr(stochastic, "_state_chunks", no_sampling)
+    model = CorrelationModel("exponential", w11=1.0, w13=0.3, w33=1.0, tau=0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            mc_sample(model, b3, u, v0, 0.005, 1.0, seed=0)
+        with pytest.raises(ValueError, match=match):
+            mc_validate(model, b3, u, v0, 0.005, 1.0, n_samples=2000, seed=0)
+
+
+def test_mc_zero_field_keeps_v0_bit_for_bit():
+    # no noise and no mean field: every speed is below 1e-300, so every axis
+    # is zero and every step the identity
+    model, v0, seed = CorrelationModel("white"), [0.3, -0.2, 0.1], 4
+    traj = mc_sample(model, b3=1.0, u=0.0, v0=v0, dt=0.005, t_final=1.003, seed=seed)
+    assert len(traj.times) == 202
+    assert np.array_equal(traj.states, np.tile(v0, (202, 1)))
+    durations = np.diff(traj.times)
+    idx = range(256, 300)
+    assert np.array_equal(chunked_states(model, 1.0, 0.0, v0, durations, seed, idx),
+                          reference_ensemble_states(model, 1.0, 0.0, v0, durations, seed, idx))
+
+
 def test_mc_degenerate_noise_is_pure_precession():
     traj = mc_sample(CorrelationModel("white"), b3=1.0, u=1.0, v0=[0.5, 0, 0],
                      dt=0.01, t_final=2.0, seed=4)
@@ -354,6 +393,57 @@ def test_mc_exponential_weak_coupling_limit():
     report = mc_validate(model, b3=1.0, u=1.0, v0=[0.5, 0, 0], dt=0.005,
                          t_final=5.0, n_samples=2000, seed=3)
     assert report.max_deviation <= 0.02
+
+
+def dephasing_sum_variance(w33, dt, tau, n_steps):
+    """Var of sum_{j<m} beta_3(j), m = 0..n_steps, for the stationary OU chain
+    held per step, of variance w33 and lag-d correlation phi^d, phi = exp(-dt/tau).
+
+    Var(m + 1) = Var(m) + w33 (1 + 2 sum_{d=1}^{m} phi^d).
+    """
+    phi = np.exp(-dt / tau)
+    lag_sums = np.concatenate([[0.0], np.cumsum(phi ** np.arange(1, n_steps + 1))])
+    return np.concatenate([[0.0], np.cumsum(w33 * (1.0 + 2.0 * lag_sums[:-1]))])
+
+
+def dephasing_mean(w33, tau, b3, u, v0, dt, n_steps):
+    """Exact ensemble mean of the discretised exponential dephasing chain, (n_steps + 1, 3).
+
+    Each realisation precesses about z by 2 (u b3 + beta_3) dt per step, so
+    v_x + i v_y picks up exp(2i u b3 t) exp(2i dt sum beta_3), whose Gaussian
+    average is exp(2i u b3 t) exp(-2 dt^2 Var sum beta_3); v_z is constant.
+    """
+    t = dt * np.arange(n_steps + 1)
+    var = dephasing_sum_variance(w33, dt, tau, n_steps)
+    z = (v0[0] + 1j * v0[1]) * np.exp(2j * u * b3 * t) * np.exp(-2.0 * dt**2 * var)
+    return np.column_stack([z.real, z.imag, np.full(len(t), float(v0[2]))])
+
+
+def test_mc_exponential_mean_matches_the_exact_dephasing_chain():
+    # the exponential family against an exact mean rather than the Markovian
+    # generator, whose bias at the weak-coupling test's amplitudes is 6-9 SE
+    # at 8000 samples: that test shows neither a right sampler nor the
+    # memoryless limit.  20 seeds, each judged family-wise at alpha = 0.05
+    # (Sidak) over its 400 (time, component) pairs with a nonzero standard
+    # error, about 3.83 SE; measured worst 0.6-2.8 SE.  The exact mean at
+    # 2 w33, a sqrt(2) error in the field's scale, reads at least 8.7 SE at
+    # every seed
+    model = CorrelationModel("exponential", w33=1.0, tau=0.1)
+    b3, u, v0, dt, n_steps = 1.0, 1.0, [0.5, 0.0, 0.0], 0.005, 200
+    exact = dephasing_mean(1.0, 0.1, b3, u, v0, dt, n_steps)
+    wrong = dephasing_mean(2.0, 0.1, b3, u, v0, dt, n_steps)
+    bound = NormalDist().inv_cdf(1.0 - (1.0 - 0.95 ** (1.0 / 400)) / 2.0)
+    worst, sensed = [], []
+    for seed in range(20):
+        report = mc_validate(model, b3, u, v0, dt, n_steps * dt, n_samples=400, seed=seed)
+        assert len(report.times) == n_steps + 1
+        compared = report.standard_error > 0.0
+        assert np.count_nonzero(compared) == 400
+        se = report.standard_error[compared]
+        worst.append(np.max(np.abs(report.mean_states - exact)[compared] / se))
+        sensed.append(np.max(np.abs(report.mean_states - wrong)[compared] / se))
+    assert max(worst) <= bound, worst
+    assert min(sensed) >= 8.7, sensed
 
 
 def test_mc_strong_memory_is_flagged():
