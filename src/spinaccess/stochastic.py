@@ -19,6 +19,7 @@ A Monte Carlo sample's noise and states are the same in any lockstep group
 of samples and under any BLAS kernel; the Markov reference is not.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,12 +39,13 @@ _COV_TOL = 1e-12
 
 #: Most realizations times steps one Monte Carlo run may take, five times
 #: the 2000 x 1000 README run.  Each realization is charged at least
-#: NOISE_CHUNK steps, the noise it draws however few steps it takes.  At the
-#: bound, on a 2-core host, a CLI ``montecarlo`` of 100 samples of 1e5
-#: steps took 1.6 s white and 1.8 s exponential, most of it in the per-step
-#: rotation, and peaked at 55-57 MB resident (37 MB for 100 steps; the rest
-#: is the report's per-time arrays); 156,250 samples of one step took 1.4 s
-#: and peaked at 39 MB.
+#: NOISE_CHUNK steps, for its generator and its per-chunk calls: a
+#: realization of one step draws one step of noise.  At the bound, on a
+#: 2-core host, a CLI ``montecarlo`` of 100 samples of 1e5 steps took 1.6 s
+#: white and 1.8 s exponential, most of it in the per-step rotation, and
+#: peaked at 55-57 MB resident (37 MB for 100 steps; the rest is the
+#: report's per-time arrays); 156,250 samples of one step took 0.4 s and
+#: peaked at 39 MB.
 MAX_SAMPLE_STEPS = 10_000_000
 
 
@@ -187,8 +189,9 @@ def _time_grid(dt: float, t_final: float, n_samples: int = 1) -> np.ndarray:
     """Grid times of [0, t_final]: 0 and ``dynamics.sample_times(t_final, dt)``.
 
     Raises ValueError, before allocating, when ``n_samples`` realizations
-    on the grid, each charged at least NOISE_CHUNK steps, would exceed
-    MAX_SAMPLE_STEPS.
+    on the grid, each charged at least NOISE_CHUNK steps for its generator
+    and its per-chunk calls (not for noise: it draws no more steps than the
+    grid has), would exceed MAX_SAMPLE_STEPS.
     """
     if not (dt > 0 and t_final > 0):
         raise ValueError("dt and t_final must be positive")
@@ -201,8 +204,92 @@ def _time_grid(dt: float, t_final: float, n_samples: int = 1) -> np.ndarray:
 
 #: Steps of noise drawn per call of a sample's generator.  A call costs
 #: about 1.7 us on a 2-core host; the draws held take 16 bytes per sample
-#: and step, beside about 1 kB per sample for its generator.
+#: and step, beside about 0.8 kB per sample for its generator.
 NOISE_CHUNK = 64
+
+#: Constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx):
+#: the (initial value, multiplier) of the entropy hash and of the state
+#: output hash, and the two multipliers of the pool mix.
+_HASH_ENTROPY = (0x43B0D7E5, 0x931E8875)
+_HASH_STATE = (0x8B51F9DD, 0x58F38DED)
+_MIX = (0xCA01F9DD, 0x4973F715)
+
+
+def _stream_seeds(seed, sample_indices) -> np.ndarray:
+    """The words ``SeedSequence([seed, k]).generate_state(4, np.uint64)`` of
+    each sample k, (samples, 4) uint64, from which PCG64 seeds the stream of
+    ``default_rng([seed, k])``.
+
+    For an integer seed they are computed for all samples at once, by
+    numpy's hash in uint32 arithmetic on arrays of samples; any other seed
+    numpy takes (a string, a sequence) gets one SeedSequence per sample.
+    The seed must be one numpy takes (``_check_mc_preconditions``), and
+    each k below 2**32, one entropy word.
+    """
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        return np.array([np.random.SeedSequence([seed, k]).generate_state(4, np.uint64)
+                         for k in sample_indices])
+    # the entropy words: the seed's, least significant first, then k
+    words = np.frombuffer(seed.to_bytes(4 * max(1, -(-seed.bit_length() // 32)), "little"),
+                          dtype="<u4")
+    keys = np.asarray(sample_indices, dtype=np.uint32)
+    entropy = [np.full(len(keys), w, dtype=np.uint32) for w in words] + [keys]
+    shift = np.uint32(16)
+
+    def hasher(const, mult):
+        # numpy's hashmix: each call xors in a running constant, advances it
+        # and multiplies by it
+        def hashmix(value):
+            nonlocal const
+            value = value ^ np.uint32(const)
+            const = const * mult & 0xFFFFFFFF
+            value = value * np.uint32(const)
+            return value ^ (value >> shift)
+        return hashmix
+
+    def mix(x, y):
+        value = x * np.uint32(_MIX[0]) - y * np.uint32(_MIX[1])
+        return value ^ (value >> shift)
+
+    # a pool of four words: the first entropy words hashed (zeros past the
+    # entropy), every word mixed into every other, then the rest of the
+    # entropy mixed into each
+    hashmix = hasher(*_HASH_ENTROPY)
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(keys))
+            for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # eight output words from the pool in turn, paired little-endian
+    output = hasher(*_HASH_STATE)
+    state = np.array([output(pool[i % 4]) for i in range(8)], dtype=np.uint64)
+    return (state[0::2] | (state[1::2] << np.uint64(32))).T.copy()
+
+
+def _sample_generators(seed, sample_indices) -> list:
+    """The generators ``default_rng([seed, k])`` of the samples k, each
+    seeded from its row of ``_stream_seeds`` instead of a SeedSequence."""
+
+    # defined here, as numpy.random is loaded only when noise is drawn: it
+    # would cost every cold process of the package 6 ms
+    class Seeded(np.random.bit_generator.ISeedSequence):
+        """The four uint64 words a PCG64 asks for, computed beforehand."""
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return [np.random.Generator(np.random.PCG64(Seeded(row)))
+            for row in _stream_seeds(seed, sample_indices)]
+
 
 #: Steps whose rotation axes and angles are computed in one pass.  Their
 #: arrays, 57 bytes per sample and step, are allocated once per lockstep
@@ -212,8 +299,8 @@ ROTATION_CHUNK = 8
 
 #: Samples advanced together; larger ensembles run in consecutive groups.
 #: A group holds about 3 MB.  The benchmark's 2000 bivariate samples of
-#: 1000 steps ran 3% faster in one group than in two, at a traced peak of
-#: 6.2 MB against 3.25 MB.
+#: 1000 steps ran 4% faster in one group than in two, at a traced peak of
+#: 5.6 MB against 2.9 MB.
 LOCKSTEP_SAMPLES = 1024
 
 
@@ -221,10 +308,12 @@ def _state_chunks(model, b3, u, v0, durations, seed, sample_indices):
     """Yield the states at consecutive chunks of grid times, (times, 3, samples).
 
     The first chunk is v0 alone.  Each sample k draws from an independent
-    stream seeded by (seed, k), so ensemble runs are reproducible and any
-    single member can be regenerated in isolation.  Every stream is drawn
-    NOISE_CHUNK steps at a time, so the noise held does not grow with the
-    number of steps, and the draws equal those of one whole draw per stream.
+    stream, that of ``default_rng([seed, k])``, so ensemble runs are
+    reproducible and any single member can be regenerated in isolation; the
+    streams of a group are seeded in one pass (``_sample_generators``).
+    Every stream is drawn NOISE_CHUNK steps at a time, so the noise held
+    does not grow with the number of steps, and the draws equal those of
+    one whole draw per stream.
     The draws are correlated with the covariance root elementwise, two
     products and a sum per component, so a sample's field values, and so
     its states, are the same in any group of samples and under any BLAS
@@ -241,11 +330,12 @@ def _state_chunks(model, b3, u, v0, durations, seed, sample_indices):
     planes, the exponential recursion on one step's (2, samples) fields, and
     the rotation on one step's (samples,) rows.  All of them write into
     arrays allocated once per call, so no step allocates array memory; only
-    each chunk of states, which is yielded, is new.
+    each chunk of states, which is yielded, is new.  The last states are
+    kept apart before each yield, so the caller may overwrite a chunk.
     """
     n_steps = len(durations)
     root = _cov_sqrt(model.covariance)
-    rngs = [np.random.default_rng([seed, k]) for k in sample_indices]
+    rngs = _sample_generators(seed, sample_indices)
     white = model.family == "white"
     if white:
         scale = 1.0 / np.sqrt(durations)
@@ -268,6 +358,7 @@ def _state_chunks(model, b3, u, v0, durations, seed, sample_indices):
     angles, cosines, omcs = np.empty((3, ROTATION_CHUNK, n))
     still = np.empty((ROTATION_CHUNK, n), dtype=bool)
     carry = np.empty((2, n))
+    last = np.empty((3, n))  # the states the next rotation chunk starts from
     dot, tmp, tmp2 = np.empty((3, n))
     # bound once: the per-step loops below make 25 calls a step
     mul, add, sub = np.multiply, np.add, np.subtract
@@ -300,6 +391,7 @@ def _state_chunks(model, b3, u, v0, durations, seed, sample_indices):
                     prev = f[:, j - first]
                     add(prev, prod, prev)
                 np.copyto(carry, prev)
+            np.copyto(last, chunk[-1])
             yield chunk
             # the unit axes (a1, a3) in place of the fields, and the angles
             f[1] += u * b3
@@ -317,7 +409,7 @@ def _state_chunks(model, b3, u, v0, durations, seed, sample_indices):
             cos_t = np.cos(theta, out=cosines[:k])
             omc = np.subtract(1.0, cos_t, out=omcs[:k])
             sin_t = np.sin(theta, out=theta)
-            states, chunk = chunk[-1], np.empty((k, 3, n))
+            states, chunk = last, np.empty((k, 3, n))
             for a1, a3, c, s, o, new in zip(*f, cos_t, sin_t, omc, chunk):
                 v1, v2, v3 = states
                 n1, n2, n3 = new
@@ -352,9 +444,11 @@ def _state_chunks(model, b3, u, v0, durations, seed, sample_indices):
     yield chunk
 
 
-def _check_mc_preconditions(model: CorrelationModel, b3: float, u: float, v0, dt: float):
+def _check_mc_preconditions(model: CorrelationModel, b3: float, u: float, v0, dt: float,
+                            seed):
     """Refuse, before any noise is drawn, what sampling cannot run or would
-    fill with NaN."""
+    fill with NaN, and a seed ``default_rng([seed, k])`` would refuse, with
+    numpy's own error."""
     if model.family == "zero":
         raise InvalidModelError("Monte Carlo sampling needs a white or exponential family")
     if model.family == "exponential" and dt > model.tau / 10.0:
@@ -365,6 +459,7 @@ def _check_mc_preconditions(model: CorrelationModel, b3: float, u: float, v0, dt
     v0 = np.asarray(v0, dtype=float)
     if v0.shape != (3,) or not np.isfinite(v0).all():
         raise ValueError(f"v0 must be three finite numbers, got {v0.tolist()}")
+    np.random.SeedSequence([seed, 0])  # raises for a seed numpy does not take
 
 
 def mc_sample(model: CorrelationModel, b3: float, u: float, v0: np.ndarray,
@@ -383,8 +478,11 @@ def mc_sample(model: CorrelationModel, b3: float, u: float, v0: np.ndarray,
         For an exponential family with dt > tau / 10.
     ValueError
         For a non-finite b3, u or v0, or a v0 that is not three numbers.
+    ValueError, TypeError
+        With numpy's message, for a seed ``default_rng([seed, k])`` refuses,
+        such as -1 or 1.5.
     """
-    _check_mc_preconditions(model, b3, u, v0, dt)
+    _check_mc_preconditions(model, b3, u, v0, dt, seed)
     times = _time_grid(dt, t_final)
     states = np.concatenate([chunk[..., 0] for chunk in
                              _state_chunks(model, b3, u, v0, np.diff(times), seed, [0])])
@@ -440,7 +538,7 @@ def mc_validate(model: CorrelationModel, b3: float, u: float, v0: np.ndarray,
     """
     if n_samples < 100:
         raise ValueError(f"need at least 100 samples, got {n_samples}")
-    _check_mc_preconditions(model, b3, u, v0, dt)
+    _check_mc_preconditions(model, b3, u, v0, dt, seed)
     times = _time_grid(dt, t_final, n_samples)
     durations = np.diff(times)
 
@@ -453,10 +551,11 @@ def mc_validate(model: CorrelationModel, b3: float, u: float, v0: np.ndarray,
         for chunk in _state_chunks(model, b3, u, v0, durations, seed, group):
             rows = slice(j, j + len(chunk))
             group_mean = chunk.mean(axis=2)
-            centred = chunk - group_mean[..., None]
+            # centred in place, as _state_chunks keeps the last states apart
+            np.subtract(chunk, group_mean[..., None], out=chunk)
             delta = group_mean - mean[rows]
             mean[rows] += delta * (len(group) / n)
-            m2[rows] += np.einsum("ijk,ijk->ij", centred, centred)
+            m2[rows] += np.einsum("ijk,ijk->ij", chunk, chunk)
             m2[rows] += delta**2 * (first * len(group) / n)
             j = rows.stop
     se = np.sqrt(m2 / (n_samples - 1) / n_samples)

@@ -281,6 +281,15 @@ def test_montecarlo_rejects_non_finite_fields(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_montecarlo_rejects_a_negative_seed(tmp_path, capsys):
+    # numpy's message, at once: splitting -1 into 32-bit words would not end
+    inp = tmp_path / "in.json"
+    write_json(inp, {"family": "white", "w11": 0.2, "b3": 1.0, "v0": [0.5, 0, 0],
+                     "dt": 0.01, "t_final": 1.0, "n_samples": 100})
+    assert run(["montecarlo", "--input", inp, "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: expected non-negative integer\n"
+
+
 def test_classify_rejects_unbounded_draws(tmp_path):
     inp = tmp_path / "in.json"
     write_json(inp, {"basis": [[1, 1, 1, 0, 0, 0]], "draws": 1e12})

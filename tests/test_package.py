@@ -24,6 +24,13 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert run_fresh(f"import sys, spinaccess.cli; {PRINT_SCIPY}") == "[]"
 
 
+def test_import_leaves_numpy_random_unloaded():
+    # numpy.random costs a cold process about 6 ms; only drawing noise loads it
+    code = "import sys, {}; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    assert run_fresh(code.format("spinaccess")) == "[]"
+    assert run_fresh(code.format("spinaccess.cli")) == "[]"
+
+
 def test_commands_leave_scipy_unloaded(tmp_path):
     inputs = {
         "classify": {"basis": [[1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0],

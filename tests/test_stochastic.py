@@ -16,7 +16,8 @@ from spinaccess import (ControlSchedule, CorrelationModel, InvalidModelError,
                         mc_sample, mc_validate, positivity_admissible, propagate,
                         switching_generators, sz_derivatives)
 from spinaccess.stochastic import (LOCKSTEP_SAMPLES, MAX_SAMPLE_STEPS, NOISE_CHUNK,
-                                   ROTATION_CHUNK, _cov_sqrt, _state_chunks, _time_grid,
+                                   ROTATION_CHUNK, _cov_sqrt, _sample_generators,
+                                   _state_chunks, _stream_seeds, _time_grid,
                                    hamiltonian_vector)
 
 
@@ -598,6 +599,81 @@ def test_mc_span_shorter_than_dt_takes_one_step(model):
     assert_stepping_matches_reference(model, 0.005, 1e-13, n_samples=100)
 
 
+# ---------------------------------------------------------------------------
+# the per-sample streams, seeded without a SeedSequence each
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**100])
+def test_stream_seeds_match_numpy_seed_sequences(seed):
+    # one to four seed words: with four, the entropy overflows numpy's pool
+    # of four words and k is mixed in after it
+    expected = [np.random.SeedSequence([seed, k]).generate_state(4, np.uint64)
+                for k in range(3000)]
+    assert np.array_equal(_stream_seeds(seed, range(3000)), expected)
+
+
+@pytest.mark.parametrize("seed", [True, np.int64(5), np.uint64(2**64 - 1), 2**70 + 9,
+                                  "12", [1, 2]],
+                         ids=["bool", "int64", "uint64", "multi-word", "string", "sequence"])
+def test_mc_takes_the_seeds_default_rng_takes(seed):
+    idx = [0, 1, 255, 1023]
+    for rng, k in zip(_sample_generators(seed, idx), idx):
+        expected = np.random.default_rng([seed, k]).standard_normal(130)
+        assert np.array_equal(rng.standard_normal(130), expected), k
+    model, v0, dt, t_final = MC_MODELS[2], [0.3, 0.2, 0.1], 0.005, 0.103
+    durations = np.diff(_time_grid(dt, t_final))
+    traj = mc_sample(model, 1.0, 0.7, v0, dt, t_final, seed)
+    ref = reference_ensemble_states(model, 1.0, 0.7, v0, durations, seed, [0])[0]
+    assert np.array_equal(traj.states, ref)
+    report = mc_validate(model, 1.0, 0.7, v0, dt, t_final, n_samples=100, seed=seed)
+    mean, se = reference_mean_and_se(model, 1.0, 0.7, v0, durations, seed, 100)
+    assert np.max(np.abs(report.mean_states - mean)) <= 1e-14
+    assert_standard_errors_close(report.standard_error, se)
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**70), 1.5], ids=["-1", "-2**70", "1.5"])
+def test_mc_refuses_the_seeds_default_rng_refuses_before_sampling(monkeypatch, seed):
+    # numpy's own error type and message, before any noise is drawn; split
+    # into 32-bit words by repeated shifts, a negative seed would never end
+    with pytest.raises((ValueError, TypeError)) as refused:
+        np.random.default_rng([seed, 0])
+
+    def no_sampling(*args):
+        raise AssertionError("noise drawn for a seed that is refused")
+
+    monkeypatch.setattr(stochastic, "_state_chunks", no_sampling)
+    model = MC_MODELS[2]
+    for run in (lambda: mc_sample(model, 1.0, 1.0, [0.5, 0, 0], 0.005, 1.0, seed=seed),
+                lambda: mc_validate(model, 1.0, 1.0, [0.5, 0, 0], 0.005, 1.0,
+                                    n_samples=2000, seed=seed)):
+        with pytest.raises(type(refused.value)) as exc:
+            run()
+        assert str(exc.value) == str(refused.value)
+    with pytest.raises((OverflowError, TypeError)):
+        _stream_seeds(seed, [0])
+
+
+def test_mc_builds_no_seed_sequence_per_sample(monkeypatch):
+    # two lockstep groups: the seed is checked by one SeedSequence, and no
+    # generator is seeded through one
+    built = []
+
+    def spy(real):
+        def construct(*args, **kwargs):
+            built.append(real)
+            return real(*args, **kwargs)
+        return construct
+
+    monkeypatch.setattr(np.random, "SeedSequence", spy(np.random.SeedSequence))
+    monkeypatch.setattr(np.random, "default_rng", spy(np.random.default_rng))
+    mc_validate(MC_MODELS[2], 1.0, 0.7, [0.3, 0.2, 0.1], 0.005, 0.05,
+                n_samples=LOCKSTEP_SAMPLES + 300, seed=6)
+    assert len(built) == 1
+    monkeypatch.undo()
+    for rng in _sample_generators(6, range(3)):
+        assert not isinstance(rng.bit_generator.seed_seq, np.random.SeedSequence)
+
+
 @pytest.mark.parametrize("scale", [1e-15, 1e-12, 1e-6, 1.0, 1e6])
 @pytest.mark.parametrize("dt, t_final, n_times", [(1.0, 1.5, 3), (0.1, 1.05, 12)])
 def test_schedule_and_mc_sample_the_same_times_in_any_time_unit(scale, dt, t_final, n_times):
@@ -669,6 +745,20 @@ def test_mc_states_do_not_depend_on_the_group(model, n_steps):
     for k in range(256, 300):
         single = chunked_states(model, 1.0, 0.7, v0, durations, seed, range(k, k + 1))
         assert np.array_equal(single[0], alone[k - 256]), k
+
+
+@pytest.mark.parametrize("model", [MC_MODELS[0], MC_MODELS[2]], ids=["white", "bivariate"])
+def test_mc_chunks_may_be_overwritten(model):
+    # mc_validate centres each chunk in place: no later chunk may read it
+    v0, seed = [0.3, 0.2, 0.1], 4
+    durations = np.diff(_time_grid(0.005, 0.103))
+    idx = range(3, 40)
+    kept = []
+    for chunk in _state_chunks(model, 1.0, 0.7, v0, durations, seed, idx):
+        kept.append(chunk.copy())
+        chunk.fill(np.nan)
+    assert np.array_equal(np.concatenate(kept).transpose(2, 0, 1),
+                          reference_ensemble_states(model, 1.0, 0.7, v0, durations, seed, idx))
 
 
 def test_mc_validate_same_seed_same_bytes():
