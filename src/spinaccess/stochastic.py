@@ -16,7 +16,8 @@ dissipative coefficients, are unaffected by it.  Coefficients are evaluated
 once at the operating b3 and held fixed under switching.
 
 A Monte Carlo sample's noise and states are the same in any lockstep group
-of samples and under any BLAS kernel; the Markov reference is not.
+of samples, under any BLAS kernel and any number of workers; the Markov
+reference is not.
 """
 
 import operator
@@ -41,11 +42,12 @@ _COV_TOL = 1e-12
 #: the 2000 x 1000 README run.  Each realization is charged at least
 #: NOISE_CHUNK steps, for its generator and its per-chunk calls: a
 #: realization of one step draws one step of noise.  At the bound, on a
-#: 2-core host, a CLI ``montecarlo`` of 100 samples of 1e5 steps took 1.6 s
-#: white and 1.8 s exponential, most of it in the per-step rotation, and
-#: peaked at 55-57 MB resident (37 MB for 100 steps; the rest is the
-#: report's per-time arrays); 156,250 samples of one step took 0.4 s and
-#: peaked at 39 MB.
+#: 2-core host in a slow period, a CLI ``montecarlo`` of 100 samples of 1e5
+#: steps, one lockstep group and so one process, took 2.5 s white and 2.9 s
+#: exponential, most of it in the per-step rotation, and peaked at 55-56 MB
+#: resident (37 MB for 100 steps; the rest is the report's per-time
+#: arrays); 156,250 samples of one step, 153 groups over two processes,
+#: took 0.4 s (0.6 s in one process) and peaked at 39 MB.
 MAX_SAMPLE_STEPS = 10_000_000
 
 
@@ -297,10 +299,13 @@ def _sample_generators(seed, sample_indices) -> list:
 #: new.
 ROTATION_CHUNK = 8
 
-#: Samples advanced together; larger ensembles run in consecutive groups.
-#: A group holds about 3 MB.  The benchmark's 2000 bivariate samples of
-#: 1000 steps ran 4% faster in one group than in two, at a traced peak of
-#: 5.6 MB against 2.9 MB.
+#: Samples advanced together; larger ensembles run in consecutive groups,
+#: and a group is the unit of work spread over the available CPUs.  A
+#: group holds about 3 MB.  The benchmark's 2000 bivariate samples of 1000
+#: steps ran 4% faster in one serial group than in two, at a traced peak
+#: of 5.6 MB against 2.9 MB, but one group leaves every other core idle:
+#: on a 2-core host, two groups on two processes took 107-121 ms where one
+#: serial group took 185-248 ms (medians of 9, in one slow period).
 LOCKSTEP_SAMPLES = 1024
 
 
@@ -504,6 +509,102 @@ class MCValidationReport:
     within_3se: bool
 
 
+def _group_statistics(model, b3, u, v0, durations, seed, group, out):
+    """Write one lockstep group's per-time mean into ``out[0]`` and its sum of
+    squares about that mean into ``out[1]``, both (times, 3)."""
+    j = 0
+    for chunk in _state_chunks(model, b3, u, v0, durations, seed, group):
+        rows = slice(j, j + len(chunk))
+        group_mean = chunk.mean(axis=2, out=out[0, rows])
+        # centred in place, as _state_chunks keeps the last states apart
+        np.subtract(chunk, group_mean[..., None], out=chunk)
+        np.einsum("ijk,ijk->ij", chunk, chunk, out=out[1, rows])
+        j = rows.stop
+
+
+def _on_workers(count, work):
+    """Run ``work(i)`` for i in range(count), spread over W processes, W the
+    least of ``count`` and the CPUs this process may run on: W - 1 forked
+    workers, worker w taking i = w, w + W, ..., and this process taking
+    i = 0, W, ....  Where W is 1 or there is no fork, this process runs
+    every i in turn.
+
+    ``work`` returns nothing: a worker's results reach this process only
+    through memory they share.  Each worker ends by ``os._exit``, so it
+    flushes no inherited stdio buffer and runs no exit handler.  Every
+    worker is reaped before this returns or raises; on any exception here,
+    KeyboardInterrupt too, the workers left are killed first.  A worker
+    that fails raises RuntimeError here, after all are reaped.
+    """
+    import os
+    import signal
+
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(count, cpus) if hasattr(os, "fork") else 1
+    pids, failed = [], []
+    try:
+        for w in range(1, workers):
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    for i in range(w, count, workers):
+                        work(i)
+                    code = 0
+                except BaseException:
+                    import traceback
+
+                    # to the descriptor, past the stderr buffer it shares
+                    os.write(2, traceback.format_exc().encode())
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+        for i in range(0, count, workers):
+            work(i)
+        while pids:
+            status = os.waitpid(pids[-1], 0)[1]
+            if status:
+                failed.append(os.waitstatus_to_exitcode(status))
+            pids.pop()
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)
+    if failed:
+        raise RuntimeError(f"{len(failed)} of {workers - 1} Monte Carlo workers failed, "
+                           f"exit codes {failed}")
+
+
+def _ensemble_statistics(model, b3, u, v0, durations, seed, n_samples):
+    """The ensemble's per-time mean and sum of squares about it, each (times, 3).
+
+    Each lockstep group's statistics are written into memory the forked
+    workers share, then merged in group order, so the result does not
+    depend on which process ran which group.  That memory is released on
+    return, before the caller builds its per-time arrays.
+    """
+    import mmap  # here, as importing the package should not load it
+
+    groups = [range(first, min(first + LOCKSTEP_SAMPLES, n_samples))
+              for first in range(0, n_samples, LOCKSTEP_SAMPLES)]
+    shape = (len(groups), 2, len(durations) + 1, 3)
+    stats = np.frombuffer(mmap.mmap(-1, 8 * int(np.prod(shape))), dtype=float).reshape(shape)
+    _on_workers(len(groups), lambda g: _group_statistics(
+        model, b3, u, v0, durations, seed, groups[g], stats[g]))
+    mean = np.zeros(shape[2:])
+    m2 = np.zeros(shape[2:])
+    for group, (group_mean, sq) in zip(groups, stats):
+        delta = group_mean - mean
+        mean += delta * (len(group) / group.stop)
+        m2 += sq
+        m2 += delta**2 * (group.start * len(group) / group.stop)
+    return mean, m2
+
+
 def mc_validate(model: CorrelationModel, b3: float, u: float, v0: np.ndarray,
                 dt: float, t_final: float, n_samples: int,
                 seed: int) -> MCValidationReport:
@@ -519,13 +620,18 @@ def mc_validate(model: CorrelationModel, b3: float, u: float, v0: np.ndarray,
     Up to LOCKSTEP_SAMPLES realizations advance together, one time step at
     a time, their noise drawn NOISE_CHUNK steps at a time, so the memory
     held grows with neither the number of samples nor that of steps, beside
-    the report's per-time arrays.  Each group's mean and centred sum of
-    squares at each time are merged in order into the running ones (Chan,
-    Golub & LeVeque, Amer. Statist. 37, 1983), so the standard error does
-    not lose digits to cancellation when the spread is small against the
-    mean.  A sample's states are the same in any group and under any BLAS
-    kernel, so ``mean_states`` and ``standard_error`` depend on the seed
-    alone; ``markov_states`` depend on the LAPACK kernel in their last bits.
+    the report's per-time arrays.  The groups run on up to one process per
+    CPU this process may use, all but one of them forked workers (``taskset``
+    limits them).  Each group's mean and centred sum of squares at each time
+    are merged in group order into the running ones (Chan, Golub & LeVeque,
+    Amer. Statist. 37, 1983), so the standard error does not lose digits to
+    cancellation when the spread is small against the mean.  A sample's
+    states are the same in any group, under any BLAS kernel and on any
+    number of workers, so ``mean_states`` and ``standard_error`` depend on
+    the seed alone; ``markov_states`` depend on the LAPACK kernel in their
+    last bits.
+
+    Raises RuntimeError, after every worker has ended, when a worker fails.
 
     ``within_3se`` is a pointwise test: every (time, component) deviation,
     about 3000 of them on a 1000-step grid, must lie within 3 standard
@@ -540,24 +646,7 @@ def mc_validate(model: CorrelationModel, b3: float, u: float, v0: np.ndarray,
         raise ValueError(f"need at least 100 samples, got {n_samples}")
     _check_mc_preconditions(model, b3, u, v0, dt, seed)
     times = _time_grid(dt, t_final, n_samples)
-    durations = np.diff(times)
-
-    mean = np.zeros((len(times), 3))
-    m2 = np.zeros((len(times), 3))
-    for first in range(0, n_samples, LOCKSTEP_SAMPLES):
-        group = range(first, min(first + LOCKSTEP_SAMPLES, n_samples))
-        n = first + len(group)
-        j = 0
-        for chunk in _state_chunks(model, b3, u, v0, durations, seed, group):
-            rows = slice(j, j + len(chunk))
-            group_mean = chunk.mean(axis=2)
-            # centred in place, as _state_chunks keeps the last states apart
-            np.subtract(chunk, group_mean[..., None], out=chunk)
-            delta = group_mean - mean[rows]
-            mean[rows] += delta * (len(group) / n)
-            m2[rows] += np.einsum("ijk,ijk->ij", chunk, chunk)
-            m2[rows] += delta**2 * (first * len(group) / n)
-            j = rows.stop
+    mean, m2 = _ensemble_statistics(model, b3, u, v0, np.diff(times), seed, n_samples)
     se = np.sqrt(m2 / (n_samples - 1) / n_samples)
 
     h, d = build_spin_generator(coefficients(model, b3), u)

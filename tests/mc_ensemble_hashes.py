@@ -8,6 +8,14 @@ types and compare the outputs byte for byte:
     OPENBLAS_CORETYPE=Sandybridge python tests/mc_ensemble_hashes.py > sandybridge.txt
     cmp haswell.txt sandybridge.txt
 
+Nor should it depend on the CPUs the process may use, over which
+``mc_validate`` spreads its lockstep groups; compare a run pinned to one CPU
+with an unpinned one the same way:
+
+    taskset -c 0 python tests/mc_ensemble_hashes.py > one-cpu.txt
+    python tests/mc_ensemble_hashes.py > all-cpus.txt
+    cmp one-cpu.txt all-cpus.txt
+
 The Markov reference is left out: its exponentials go through LAPACK, whose
 rounding does depend on the kernel.  The states of one ``mc_sample``
 trajectory are hashed too, as they take the single-sample path.
@@ -15,7 +23,7 @@ trajectory are hashed too, as they take the single-sample path.
 
 import hashlib
 
-from spinaccess.stochastic import CorrelationModel, mc_sample, mc_validate
+from spinaccess.stochastic import LOCKSTEP_SAMPLES, CorrelationModel, mc_sample, mc_validate
 
 #: The README ``montecarlo`` model and the benchmark's two models.
 MODELS = {
@@ -39,6 +47,12 @@ def main():
     traj = mc_sample(MODELS["bivariate"], b3=1.0, u=0.7, v0=[0.3, 0.2, 0.1], dt=0.005,
                      t_final=1.003, seed=7)
     print(f"bivariate sample states {digest(traj.states)}")
+    # three lockstep groups, whose statistics are merged in group order
+    n_samples = 2 * LOCKSTEP_SAMPLES + 1
+    report = mc_validate(MODELS["bivariate"], b3=1.0, u=0.7, v0=[0.3, 0.2, 0.1], dt=0.005,
+                         t_final=0.203, n_samples=n_samples, seed=7)
+    for field in ("mean_states", "standard_error"):
+        print(f"bivariate {n_samples} samples {field} {digest(getattr(report, field))}")
 
 
 if __name__ == "__main__":

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+import time
 import tracemalloc
 import warnings
 from statistics import NormalDist
@@ -447,6 +451,52 @@ def test_mc_exponential_mean_matches_the_exact_dephasing_chain():
     assert min(sensed) >= 8.7, sensed
 
 
+def white_chain_mean(cov, b3, u, v0, dt, n_steps, nodes=80):
+    """Exact ensemble mean of the white chain, (n_steps + 1, 3): E[R]^k v0.
+
+    E[R] is one step's rotation averaged over the field (beta_1, beta_3) ~
+    N(0, cov / dt) by a 2-D Gauss-Hermite rule of nodes x nodes; each
+    column is the average image of a basis vector under ``reference_rotate``.
+    """
+    x, w = np.polynomial.hermite_e.hermegauss(nodes)
+    weights = np.outer(w, w).ravel() / (2.0 * np.pi)
+    z = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
+    beta = z @ np.linalg.cholesky(cov).T / np.sqrt(dt)
+    h = np.column_stack([beta[:, 0], np.zeros(len(z)), u * b3 + beta[:, 1]])
+    step = np.column_stack([weights @ reference_rotate(np.tile(e, (len(z), 1)), h, dt)
+                            for e in np.eye(3)])
+    states = [np.asarray(v0, dtype=float)]
+    for _ in range(n_steps):
+        states.append(step @ states[-1])
+    return np.array(states)
+
+
+def test_mc_white_mean_matches_the_exact_chain():
+    # the README white model against its chain's exact mean, E[R]^k v0.
+    # 80 x 80 nodes give one step's E[R] to 1.1e-16 of 120 x 120, and the
+    # 200-step mean to 2e-14.  20 seeds, each judged family-wise at alpha =
+    # 0.05 (Sidak) over its 600 (time, component) pairs with a nonzero
+    # standard error, about 3.93 SE; measured worst 1.8-3.4 SE.  The exact
+    # mean at twice the covariance, a sqrt(2) error in the field's scale,
+    # reads at least 13.7 SE at every seed
+    model = CorrelationModel("white", w11=0.3, w13=0.1, w33=0.2)
+    b3, u, v0, dt, n_steps = 1.0, 1.0, [0.5, 0.0, 0.0], 0.005, 200
+    exact = white_chain_mean(model.covariance, b3, u, v0, dt, n_steps)
+    wrong = white_chain_mean(2.0 * model.covariance, b3, u, v0, dt, n_steps)
+    bound = NormalDist().inv_cdf(1.0 - (1.0 - 0.95 ** (1.0 / 600)) / 2.0)
+    worst, sensed = [], []
+    for seed in range(20):
+        report = mc_validate(model, b3, u, v0, dt, n_steps * dt, n_samples=400, seed=seed)
+        assert len(report.times) == n_steps + 1
+        compared = report.standard_error > 0.0
+        assert np.count_nonzero(compared) == 600
+        se = report.standard_error[compared]
+        worst.append(np.max(np.abs(report.mean_states - exact)[compared] / se))
+        sensed.append(np.max(np.abs(report.mean_states - wrong)[compared] / se))
+    assert max(worst) <= bound, worst
+    assert min(sensed) >= 13.0, sensed
+
+
 def test_mc_strong_memory_is_flagged():
     model = CorrelationModel("exponential", w11=4.0, w13=0.5, w33=4.0, tau=2.0)
     report = mc_validate(model, b3=1.0, u=1.0, v0=[0.5, 0, 0], dt=0.05,
@@ -664,6 +714,7 @@ def test_mc_builds_no_seed_sequence_per_sample(monkeypatch):
             return real(*args, **kwargs)
         return construct
 
+    patch_cpus(monkeypatch, 1)  # both groups here, where the spy records
     monkeypatch.setattr(np.random, "SeedSequence", spy(np.random.SeedSequence))
     monkeypatch.setattr(np.random, "default_rng", spy(np.random.default_rng))
     mc_validate(MC_MODELS[2], 1.0, 0.7, [0.3, 0.2, 0.1], 0.005, 0.05,
@@ -771,50 +822,184 @@ def test_mc_validate_same_seed_same_bytes():
             == (b.max_deviation, b.mean_deviation, b.max_se_ratio, b.within_3se))
 
 
+# ---------------------------------------------------------------------------
+# the lockstep groups on forked workers
+# ---------------------------------------------------------------------------
+
+def patch_cpus(monkeypatch, count):
+    """Let this process see ``count`` available CPUs, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
+def report_bytes(report):
+    """Every field of a report, arrays as their bytes and numbers as their repr."""
+    return {name: value.tobytes() if isinstance(value, np.ndarray) else repr(value)
+            for name, value in vars(report).items()}
+
+
+@pytest.mark.parametrize("model", [MC_MODELS[0], MC_MODELS[2]], ids=["white", "bivariate"])
+@pytest.mark.parametrize("n_samples", [100, LOCKSTEP_SAMPLES + 300, 3 * LOCKSTEP_SAMPLES + 1])
+def test_mc_validate_bytes_do_not_depend_on_the_worker_count(monkeypatch, model, n_samples):
+    # one, two and four lockstep groups over one, two and three processes:
+    # with three, the four groups split 2 + 1 + 1; 81 steps span two noise
+    # chunks and end in a shortened step
+    reports = []
+    for cpus in (1, 2, 3):
+        patch_cpus(monkeypatch, cpus)
+        reports.append(report_bytes(mc_validate(model, 1.0, 0.7, [0.3, 0.2, 0.1], 0.005,
+                                                0.403, n_samples=n_samples, seed=6)))
+    assert reports[1] == reports[0]
+    assert reports[2] == reports[0]
+
+
+def test_mc_validate_runs_every_group_here_without_fork(monkeypatch):
+    # a platform without os.fork runs the groups in turn, to the same bytes
+    args = (MC_MODELS[2], 1.0, 0.7, [0.3, 0.2, 0.1], 0.005, 0.05)
+    patch_cpus(monkeypatch, 1)
+    serial = report_bytes(mc_validate(*args, n_samples=LOCKSTEP_SAMPLES + 300, seed=6))
+    patch_cpus(monkeypatch, 2)
+    monkeypatch.delattr(os, "fork")
+    assert report_bytes(mc_validate(*args, n_samples=LOCKSTEP_SAMPLES + 300, seed=6)) == serial
+
+
+def fail_in_groups(monkeypatch, failures):
+    """Make ``failures[first]()`` run where the lockstep group starting at
+    sample ``first`` would start to draw."""
+    real = stochastic._state_chunks
+
+    def chunks(model, b3, u, v0, durations, seed, sample_indices):
+        failures.get(sample_indices[0], lambda: None)()
+        return real(model, b3, u, v0, durations, seed, sample_indices)
+
+    monkeypatch.setattr(stochastic, "_state_chunks", chunks)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_mc_validate_raises_for_a_failed_worker(monkeypatch):
+    # two processes: the worker runs the second group, and fails in it
+    def failure():
+        raise ValueError("a worker's group failed")
+
+    patch_cpus(monkeypatch, 2)
+    fail_in_groups(monkeypatch, {LOCKSTEP_SAMPLES: failure})
+    with pytest.raises(RuntimeError, match="1 of 1 Monte Carlo workers failed"):
+        mc_validate(MC_MODELS[2], 1.0, 0.7, [0.3, 0.2, 0.1], 0.005, 0.05,
+                    n_samples=LOCKSTEP_SAMPLES + 300, seed=6)
+    assert_no_child_left()
+
+
+class GroupFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("error", [GroupFailure, KeyboardInterrupt])
+def test_mc_validate_kills_its_workers_when_its_own_group_fails(monkeypatch, error):
+    # the worker's group would hang for a minute: the failure in this
+    # process's first group must kill it, not wait for it
+    def failure():
+        raise error("this process's group failed")
+
+    patch_cpus(monkeypatch, 2)
+    fail_in_groups(monkeypatch, {0: failure, LOCKSTEP_SAMPLES: lambda: time.sleep(60.0)})
+    start = time.perf_counter()
+    with pytest.raises(error, match="this process's group failed"):
+        mc_validate(MC_MODELS[2], 1.0, 0.7, [0.3, 0.2, 0.1], 0.005, 0.05,
+                    n_samples=LOCKSTEP_SAMPLES + 300, seed=6)
+    assert time.perf_counter() - start < 30.0
+    assert_no_child_left()
+
+
+WORKERS_AFTER_A_PRINT = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from spinaccess.stochastic import CorrelationModel, LOCKSTEP_SAMPLES, mc_validate
+assert not sys.stdout.line_buffering
+print("before")
+mc_validate(CorrelationModel("white", w11=0.3, w13=0.1, w33=0.2), 1.0, 1.0, [0.5, 0, 0],
+            0.005, 0.05, n_samples=LOCKSTEP_SAMPLES + 300, seed=1)
+print("after")
+"""
+
+
+def test_mc_validate_workers_leave_the_callers_stdout_alone():
+    # a line still in a block-buffered stdout when the worker forks is
+    # written once, by this process, and not again by the worker as it exits
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]]
+                                                 if env.get("PYTHONPATH") else []))
+    res = subprocess.run([sys.executable, "-c", WORKERS_AFTER_A_PRINT], env=env,
+                         stdout=subprocess.PIPE, check=True, timeout=60)
+    assert res.stdout == b"before\nafter\n"
+
+
+def traced_mc_peak(t_final, n_samples, warm_up_t_final):
+    """The benchmark's bivariate model after a warm-up run: the report and
+    the traced peak of this process.  Workers forked for some lockstep
+    groups are not traced."""
+    model = MC_MODELS[2]
+    args = dict(b3=1.0, u=1.0, v0=[0.5, 0, 0], dt=0.005, seed=3)
+    mc_validate(model, t_final=warm_up_t_final, n_samples=100, **args)
+    tracemalloc.start()
+    try:
+        report = mc_validate(model, t_final=t_final, n_samples=n_samples, **args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return report, peak
+
+
 def test_mc_validate_peak_memory():
     # the benchmark's bivariate model at 2000 samples x 1000 steps: each
     # lockstep group of samples holds its generators, one noise chunk of
     # draws and the arrays of one rotation chunk, about 3 MB; holding the
-    # whole ensemble's draws instead would take 32 MB
-    model = MC_MODELS[2]
-    args = dict(b3=1.0, u=1.0, v0=[0.5, 0, 0], dt=0.005, seed=3)
-    mc_validate(model, t_final=0.1, n_samples=100, **args)
-    tracemalloc.start()
-    try:
-        mc_validate(model, t_final=5.0, n_samples=2000, **args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # whole ensemble's draws instead would take 32 MB.  On a host with W
+    # CPUs, W processes hold W groups in total and only this one is traced,
+    # so this measures one worker's share; the whole ensemble in one
+    # process is measured below
+    _, peak = traced_mc_peak(5.0, 2000, warm_up_t_final=0.1)
     assert peak < 8e6
 
 
 def test_mc_validate_noise_memory_does_not_grow_with_steps():
-    # 100 samples x 1e4 steps: whole streams of draws would hold 16 MB
-    model = MC_MODELS[2]
-    args = dict(b3=1.0, u=1.0, v0=[0.5, 0, 0], dt=0.005, seed=3)
-    mc_validate(model, t_final=0.1, n_samples=100, **args)
-    tracemalloc.start()
-    try:
-        report = mc_validate(model, t_final=50.0, n_samples=100, **args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # 100 samples x 1e4 steps: whole streams of draws would hold 16 MB.
+    # 100 samples are one group, which this process runs on any host
+    report, peak = traced_mc_peak(50.0, 100, warm_up_t_final=0.1)
     assert len(report.times) == 10_001
     assert peak < 4e6
 
 
 def test_mc_validate_memory_does_not_grow_with_samples():
     # 20,000 samples of 2 steps: advanced all at once, their generators
-    # and states would hold 46 MB
-    model = MC_MODELS[2]
-    args = dict(b3=1.0, u=1.0, v0=[0.5, 0, 0], dt=0.005, seed=3)
-    mc_validate(model, t_final=0.01, n_samples=100, **args)
-    tracemalloc.start()
-    try:
-        mc_validate(model, t_final=0.01, n_samples=20_000, **args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # and states would hold 46 MB.  One worker's share, as above: W workers
+    # hold W groups in total
+    _, peak = traced_mc_peak(0.01, 20_000, warm_up_t_final=0.01)
+    assert peak < 8e6
+
+
+def test_mc_validate_peak_memory_in_one_process(monkeypatch):
+    # as test_mc_validate_peak_memory, every group in this process
+    patch_cpus(monkeypatch, 1)
+    _, peak = traced_mc_peak(5.0, 2000, warm_up_t_final=0.1)
+    assert peak < 8e6
+
+
+def test_mc_validate_noise_memory_does_not_grow_with_steps_in_one_process(monkeypatch):
+    patch_cpus(monkeypatch, 1)
+    report, peak = traced_mc_peak(50.0, 100, warm_up_t_final=0.1)
+    assert len(report.times) == 10_001
+    assert peak < 4e6
+
+
+def test_mc_validate_memory_does_not_grow_with_samples_in_one_process(monkeypatch):
+    patch_cpus(monkeypatch, 1)
+    _, peak = traced_mc_peak(0.01, 20_000, warm_up_t_final=0.01)
     assert peak < 8e6
 
 
