@@ -24,6 +24,7 @@ from .liealg import compare_accessibility
 from .reproduce import run_reproduction
 from .stochastic import (FAMILIES, CorrelationModel, build_spin_generator, coefficients,
                          cp_admissible, mc_validate, positivity_admissible)
+from .workers import on_workers, worker_count
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -127,19 +128,54 @@ def _write_json(obj, path):
         fh.write("\n")
 
 
-#: Rows formatted and written at a time, so the CSV text never exists whole.
+#: Rows in one chunk of CSV text.  A trajectory of more than one chunk is
+#: formatted in rounds of W chunks, W the least of the chunks and the CPUs
+#: this process may run on: each of W processes formats one chunk into its
+#: slot of one shared map of W * CSV_CHUNK_ROWS * _CSV_ROW_BYTES bytes, and
+#: this process writes the slots out in order.  So the text that exists at
+#: once is that map and one chunk per process, whatever the trajectory's length.
 CSV_CHUNK_ROWS = 4096
 
 _CSV_ROW = ",".join(["%.17g"] * 6) + "\n"
 
+#: Longest row: a finite "%.17g" is at most 24 characters, as in
+#: -2.2250738585072014e-308, and six of them take five commas and a newline.
+_CSV_ROW_BYTES = 6 * 24 + 6
+
+
+def _csv_text(rows) -> str:
+    """The CSV lines of a (rows, 6) table."""
+    return (_CSV_ROW * len(rows)) % tuple(rows.ravel().tolist())
+
 
 def _write_csv_trajectory(traj, path):
     table = np.column_stack([traj.times, traj.states, traj.purities, traj.controls])
+    starts = range(0, len(table), CSV_CHUNK_ROWS)
+    width = worker_count(len(starts))
     with _output(path) as fh:
         fh.write("t,rho1,rho2,rho3,purity,u\n")
-        for start in range(0, len(table), CSV_CHUNK_ROWS):
-            block = table[start:start + CSV_CHUNK_ROWS]
-            fh.write((_CSV_ROW * len(block)) % tuple(block.ravel().tolist()))
+        if width == 1:
+            for start in starts:
+                fh.write(_csv_text(table[start:start + CSV_CHUNK_ROWS]))
+            return
+        import mmap  # here, as importing the package should not load it
+
+        slot = CSV_CHUNK_ROWS * _CSV_ROW_BYTES
+        text = mmap.mmap(-1, width * slot)
+
+        def encode(start, i):
+            """Chunk ``start``'s text into slot i, ended by a NUL where shorter."""
+            data = _csv_text(table[start:start + CSV_CHUNK_ROWS]).encode("ascii")
+            text[i * slot:i * slot + len(data)] = data
+            if len(data) < slot:
+                text[i * slot + len(data)] = 0
+
+        for first in range(0, len(starts), width):
+            batch = starts[first:first + width]
+            on_workers(len(batch), lambda i: encode(batch[i], i), "CSV")
+            for i in range(len(batch)):
+                end = text.find(b"\0", i * slot, (i + 1) * slot)
+                fh.write(text[i * slot:end if end >= 0 else (i + 1) * slot].decode("ascii"))
 
 
 def _trajectory_dict(traj) -> dict:

@@ -4,9 +4,13 @@ Propagation is by matrix exponential of the 3x3 generator, so segment
 evolution is exact to rounding and the semigroup composition property holds
 along a schedule.  ``expm`` is the scaling-and-squaring Pade method in numpy
 alone, over a stack of matrices, so propagating many times costs one call and
-the package needs no scipy.  A schedule's sample at time t in a segment that
-starts at t_seg from state v_seg is exp(L (t - t_seg)) v_seg, one exponential
-from the segment start, never a chain of steps.  Bloch-ball violations along
+the package needs no scipy.  ``propagate`` takes the exponentials of its
+times in blocks of PROPAGATE_BLOCK; the blocks of a longer call are spread
+over forked worker processes (``workers.on_workers``) and written into
+memory they share, so the states do not depend on the number of CPUs.  A
+schedule's sample at time t in a segment that starts at t_seg from state
+v_seg is exp(L (t - t_seg)) v_seg, one exponential from the segment start,
+never a chain of steps.  Bloch-ball violations along
 a trajectory are flagged at the one tolerance of ``coherence.is_physical``
 (1e-9), never silently dropped and never fatal: watching an ill-posed
 generator push the state out of the Bloch ball is one of the intended uses.
@@ -19,10 +23,12 @@ import numpy as np
 from .coherence import is_physical, purity
 from .errors import UnphysicalStateError
 from .generator import lindblad_superop
+from .workers import on_workers
 
 #: Most samples a schedule may produce, ten times a 1e5-sample trajectory.
-#: A CLI ``evolve`` of 1e6 samples peaked at 0.15 GB resident and took 7 s
-#: on a 2-core host as CSV, and 0.42 GB and 18 s as JSON.
+#: A CLI ``evolve`` of 999,901 samples on a 2-core host, with a worker on
+#: the second core, peaked at 0.15 GB resident (the largest process) and
+#: took 3.4-3.9 s as CSV, and 0.39 GB and 8.6-9.3 s as JSON.
 MAX_SAMPLES = 1_000_000
 
 
@@ -98,7 +104,8 @@ def expm(a: np.ndarray) -> np.ndarray:
     evaluated as I + 2 (V - U)^-1 U, which keeps the small-norm steps as
     accurate as scipy's ``expm``.  Every matrix of a stack goes through the
     same operations as it would alone, so a stacked call equals the
-    per-matrix calls bit for bit.
+    per-matrix calls bit for bit: a stack is ordered by s once, so each
+    squaring acts on the leading matrices that still need it.
     """
     a = np.asarray(a, dtype=float)
     x = a.reshape(-1, 3, 3)
@@ -115,9 +122,16 @@ def expm(a: np.ndarray) -> np.ndarray:
     v = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
          + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye)
     r = eye + 2.0 * np.linalg.solve(v - u, u)
-    for k in range(int(s.max(initial=0))):
-        todo = s > k
-        r[todo] = r[todo] @ r[todo]
+    if len(s) == 1:
+        for _ in range(s[0]):
+            r = r @ r
+    elif s.any():
+        # ordered by s, the matrices still to square lead the stack
+        order = np.argsort(-s, kind="stable")
+        ordered = r[order]
+        for n in np.count_nonzero(s[:, None] > np.arange(s.max()), axis=0):
+            ordered[:n] = ordered[:n] @ ordered[:n]
+        r[order] = ordered
     return r.reshape(a.shape)
 
 
@@ -127,7 +141,11 @@ def propagate(l: np.ndarray, v0: np.ndarray, t) -> np.ndarray:
     ``t`` is one time, giving one state (3,), or an array of times, giving
     one state per time, (..., 3).  The exponentials of PROPAGATE_BLOCK
     times are computed per ``expm`` call, and every state equals the one
-    propagated for its time alone.  A negative or non-finite time and a
+    propagated for its time alone.  Up to PROPAGATE_BLOCK times take one
+    call in this process.  More are written into an anonymous shared map,
+    their blocks spread over this process and forked workers, one per CPU
+    this process may run on; the result is a view of that map.  A worker
+    that fails raises RuntimeError.  A negative or non-finite time and a
     non-finite generator or state raise ValueError before any work.
     """
     times = np.asarray(t, dtype=float)
@@ -139,10 +157,18 @@ def propagate(l: np.ndarray, v0: np.ndarray, t) -> np.ndarray:
     if not (np.isfinite(l).all() and np.isfinite(v0).all()):
         raise ValueError("generator and initial state must be finite")
     flat = times.reshape(-1)
-    out = np.empty((len(flat), 3))
-    for lo in range(0, len(flat), PROPAGATE_BLOCK):
-        block = flat[lo:lo + PROPAGATE_BLOCK]
-        out[lo:lo + len(block)] = expm(l * block[:, None, None]) @ v0
+    if len(flat) <= PROPAGATE_BLOCK:
+        return (expm(l * flat[:, None, None]) @ v0).reshape(times.shape + (3,))
+    import mmap  # here, as importing the package should not load it
+
+    out = np.frombuffer(mmap.mmap(-1, 24 * len(flat)), dtype=float).reshape(-1, 3)
+    blocks = range(0, len(flat), PROPAGATE_BLOCK)
+
+    def block(b):
+        part = flat[blocks[b]:blocks[b] + PROPAGATE_BLOCK]
+        out[blocks[b]:blocks[b] + len(part)] = expm(l * part[:, None, None]) @ v0
+
+    on_workers(len(blocks), block, "propagation")
     return out.reshape(times.shape + (3,))
 
 

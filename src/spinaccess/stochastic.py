@@ -31,6 +31,7 @@ from .errors import InvalidModelError, StepSizeError
 from .generator import (HMAT_FACTOR, dissipation_from_kossakowski, hamiltonian_matrix,
                         is_psd, vec6_to_sym)
 from .liealg import lie_closure
+from .workers import on_workers
 
 #: Names of the correlation families.
 FAMILIES = ("zero", "white", "exponential")
@@ -522,63 +523,6 @@ def _group_statistics(model, b3, u, v0, durations, seed, group, out):
         j = rows.stop
 
 
-def _on_workers(count, work):
-    """Run ``work(i)`` for i in range(count), spread over W processes, W the
-    least of ``count`` and the CPUs this process may run on: W - 1 forked
-    workers, worker w taking i = w, w + W, ..., and this process taking
-    i = 0, W, ....  Where W is 1 or there is no fork, this process runs
-    every i in turn.
-
-    ``work`` returns nothing: a worker's results reach this process only
-    through memory they share.  Each worker ends by ``os._exit``, so it
-    flushes no inherited stdio buffer and runs no exit handler.  Every
-    worker is reaped before this returns or raises; on any exception here,
-    KeyboardInterrupt too, the workers left are killed first.  A worker
-    that fails raises RuntimeError here, after all are reaped.
-    """
-    import os
-    import signal
-
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity on this platform
-        cpus = os.cpu_count() or 1
-    workers = min(count, cpus) if hasattr(os, "fork") else 1
-    pids, failed = [], []
-    try:
-        for w in range(1, workers):
-            pid = os.fork()
-            if pid == 0:
-                code = 1
-                try:
-                    for i in range(w, count, workers):
-                        work(i)
-                    code = 0
-                except BaseException:
-                    import traceback
-
-                    # to the descriptor, past the stderr buffer it shares
-                    os.write(2, traceback.format_exc().encode())
-                finally:
-                    os._exit(code)
-            pids.append(pid)
-        for i in range(0, count, workers):
-            work(i)
-        while pids:
-            status = os.waitpid(pids[-1], 0)[1]
-            if status:
-                failed.append(os.waitstatus_to_exitcode(status))
-            pids.pop()
-    finally:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        for pid in pids:
-            os.waitpid(pid, 0)
-    if failed:
-        raise RuntimeError(f"{len(failed)} of {workers - 1} Monte Carlo workers failed, "
-                           f"exit codes {failed}")
-
-
 def _ensemble_statistics(model, b3, u, v0, durations, seed, n_samples):
     """The ensemble's per-time mean and sum of squares about it, each (times, 3).
 
@@ -593,8 +537,8 @@ def _ensemble_statistics(model, b3, u, v0, durations, seed, n_samples):
               for first in range(0, n_samples, LOCKSTEP_SAMPLES)]
     shape = (len(groups), 2, len(durations) + 1, 3)
     stats = np.frombuffer(mmap.mmap(-1, 8 * int(np.prod(shape))), dtype=float).reshape(shape)
-    _on_workers(len(groups), lambda g: _group_statistics(
-        model, b3, u, v0, durations, seed, groups[g], stats[g]))
+    on_workers(len(groups), lambda g: _group_statistics(
+        model, b3, u, v0, durations, seed, groups[g], stats[g]), "Monte Carlo")
     mean = np.zeros(shape[2:])
     m2 = np.zeros(shape[2:])
     for group, (group_mean, sq) in zip(groups, stats):

@@ -4,6 +4,8 @@ import time
 import numpy as np
 import pytest
 
+from forking import (assert_no_child_left, block_buffered_stdout, count_forks,
+                     fail_in_workers, patch_cpus, record_maps)
 from spinaccess.cli import main
 
 
@@ -647,34 +649,55 @@ def reference_csv(traj):
     return "\n".join(lines) + "\n"
 
 
-def test_csv_writer_matches_row_reference(tmp_path, capsys):
+def test_csv_writer_matches_row_reference(monkeypatch, tmp_path, capsys):
+    # one chunk, rounds of W chunks and one row more or less, and 5 chunks
+    # and a part, each written on one, two and three processes
     from spinaccess import Trajectory
     from spinaccess.cli import CSV_CHUNK_ROWS, _write_csv_trajectory
 
     rng = np.random.default_rng(30)
-    for m in (1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 10_007):
+    lengths = {1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 10_007,
+               5 * CSV_CHUNK_ROWS + 3}
+    lengths |= {w * CSV_CHUNK_ROWS + d for w in (2, 3) for d in (-1, 1)}
+    for m in sorted(lengths):
         states = rng.standard_normal((m, 3)) * 10.0 ** rng.integers(-150, 150, (m, 1))
         states[0] = [-0.0, 0.5, 1e-320]
         states[-1] = [np.inf, np.nan, -np.inf]
         traj = Trajectory(times=np.cumsum(rng.uniform(0, 0.1, m)), states=states,
                           controls=rng.choice([0.0, 1.0, -2.5, 1 / 3], m))
         want = reference_csv(traj)
-        path = tmp_path / "traj.csv"
-        _write_csv_trajectory(traj, str(path))
-        assert path.read_bytes() == want.encode(), m
-        capsys.readouterr()
-        _write_csv_trajectory(traj, None)
-        assert capsys.readouterr().out == want, m
+        for cpus in (1, 2, 3):
+            patch_cpus(monkeypatch, cpus)
+            path = tmp_path / "traj.csv"
+            _write_csv_trajectory(traj, str(path))
+            assert path.read_bytes() == want.encode(), (m, cpus)
+            capsys.readouterr()
+            _write_csv_trajectory(traj, None)
+            assert capsys.readouterr().out == want, (m, cpus)
 
 
-def test_evolve_and_csv_peak_memory(tmp_path):
-    # a warm 1e5-sample schedule written as CSV: the trajectory arrays, the
-    # stacked table and one formatted block stay below 16 MB; the per-sample
-    # lists and whole-text join this replaced peaked at 41 MB
-    import tracemalloc
+def test_csv_rows_of_the_longest_text_fill_their_slots(monkeypatch, tmp_path):
+    # every value printed in 24 characters, so each chunk's text is exactly
+    # CSV_CHUNK_ROWS * _CSV_ROW_BYTES long and fills its slot of the map
+    from spinaccess import Trajectory
+    from spinaccess.cli import _CSV_ROW_BYTES, CSV_CHUNK_ROWS, _write_csv_trajectory
 
+    patch_cpus(monkeypatch, 2)
+    m = 2 * CSV_CHUNK_ROWS + 5
+    longest = -2.2250738585072014e-308
+    traj = Trajectory(times=np.full(m, longest), states=np.full((m, 3), longest),
+                      controls=np.full(m, longest))
+    traj.purities = np.full(m, longest)
+    want = reference_csv(traj)
+    assert len(want.splitlines()[1]) + 1 == _CSV_ROW_BYTES
+    path = tmp_path / "traj.csv"
+    _write_csv_trajectory(traj, str(path))
+    assert path.read_bytes() == want.encode()
+
+
+def long_trajectory():
+    """The benchmark's 1e5-sample evolve-long schedule on a seeded model."""
     from spinaccess import ControlSchedule, evolve_schedule
-    from spinaccess.cli import _write_csv_trajectory
     from spinaccess.generator import dissipation_from_kossakowski
 
     rng = np.random.default_rng(31)
@@ -682,12 +705,21 @@ def test_evolve_and_csv_peak_memory(tmp_path):
     d = dissipation_from_kossakowski(2e-4 * (a @ a.T))
     h = rng.standard_normal(3)
     sched = ControlSchedule([(400.0, 1.0), (600.0, 0.0)])
-    path = str(tmp_path / "traj.csv")
+    traj = evolve_schedule(h, d, sched, [0.3, 0.1, 0.0], 0.01)
+    assert len(traj.times) == 100_001
+    return traj
+
+
+def traced_evolve_csv_peak(path):
+    """The traced peak of this process as it samples the 1e5-sample schedule
+    and writes it as CSV, after a warm-up run.  Workers forked for some
+    blocks and chunks are not traced, nor is the memory they share."""
+    import tracemalloc
+
+    from spinaccess.cli import _write_csv_trajectory
 
     def work():
-        traj = evolve_schedule(h, d, sched, [0.3, 0.1, 0.0], 0.01)
-        assert len(traj.times) == 100_001
-        _write_csv_trajectory(traj, path)
+        _write_csv_trajectory(long_trajectory(), path)
 
     work()
     tracemalloc.start()
@@ -696,7 +728,94 @@ def test_evolve_and_csv_peak_memory(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16e6, peak
+    return peak
+
+
+def test_evolve_and_csv_peak_memory(tmp_path):
+    # a warm 1e5-sample schedule written as CSV: the trajectory arrays, the
+    # stacked table and one formatted chunk stay below 16 MB; the per-sample
+    # lists and whole-text join this replaced peaked at 41 MB.  On a host
+    # with more than one CPU the states and the CSV text are in shared maps
+    # and only this process is traced; the one-process run is below
+    assert traced_evolve_csv_peak(str(tmp_path / "traj.csv")) < 16e6
+
+
+def test_evolve_and_csv_peak_memory_in_one_process(monkeypatch, tmp_path):
+    patch_cpus(monkeypatch, 1)
+    assert traced_evolve_csv_peak(str(tmp_path / "traj.csv")) < 16e6
+
+
+def test_csv_text_map_does_not_grow_with_the_trajectory(monkeypatch, tmp_path):
+    # 11 chunks on two processes are written in 6 rounds through one map of
+    # two slots, reused every round
+    from spinaccess import Trajectory
+    from spinaccess.cli import _CSV_ROW_BYTES, CSV_CHUNK_ROWS, _write_csv_trajectory
+
+    patch_cpus(monkeypatch, 2)
+    m = 10 * CSV_CHUNK_ROWS + 3
+    rng = np.random.default_rng(32)
+    traj = Trajectory(times=np.arange(m) * 0.01, states=rng.uniform(-0.3, 0.3, (m, 3)),
+                      controls=np.ones(m))
+    maps = record_maps(monkeypatch)
+    _write_csv_trajectory(traj, str(tmp_path / "traj.csv"))
+    assert maps == [2 * CSV_CHUNK_ROWS * _CSV_ROW_BYTES]
+    assert _CSV_ROW_BYTES == 150
+
+
+def test_csv_writer_forks_and_maps_only_for_more_than_one_chunk(monkeypatch, tmp_path):
+    from spinaccess import Trajectory
+    from spinaccess.cli import CSV_CHUNK_ROWS, _write_csv_trajectory
+
+    patch_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    maps = record_maps(monkeypatch)
+    for m in (1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1):
+        traj = Trajectory(times=np.arange(m) * 0.01, states=np.full((m, 3), 0.1),
+                          controls=np.ones(m))
+        _write_csv_trajectory(traj, str(tmp_path / "traj.csv"))
+        assert len(forks) == len(maps) == (m > CSV_CHUNK_ROWS), m
+    assert_no_child_left()
+
+
+def test_csv_writer_raises_for_a_failed_worker(monkeypatch, tmp_path):
+    from spinaccess import Trajectory, cli
+
+    patch_cpus(monkeypatch, 2)
+    fail_in_workers(monkeypatch, cli, "_csv_text")
+    m = 2 * cli.CSV_CHUNK_ROWS
+    traj = Trajectory(times=np.arange(m) * 0.01, states=np.full((m, 3), 0.1),
+                      controls=np.ones(m))
+    with pytest.raises(RuntimeError, match="1 of 1 CSV workers failed"):
+        cli._write_csv_trajectory(traj, str(tmp_path / "traj.csv"))
+    assert_no_child_left()
+
+
+CSV_AFTER_A_PRINT = """
+import os, sys
+os.sched_getaffinity = lambda pid: set(range(int(sys.argv[2])))
+from spinaccess.cli import main
+assert not sys.stdout.line_buffering
+print("before")
+main(["evolve", "--input", sys.argv[1]])
+print("after")
+"""
+
+
+def test_evolve_workers_leave_the_callers_stdout_alone(tmp_path):
+    # 1e4 samples: ten propagation blocks and three CSV chunks, each forked
+    # with text still in this block-buffered stdout; every row is written
+    # once, by this process, as on one CPU, where nothing is forked
+    inp = tmp_path / "in.json"
+    write_json(inp, {"c": [1, 1, 1, 0, 0, 0], "h": [0, 0, 1], "v0": [0.5, 0, 0],
+                     "schedule": [[40.0, 1.0], [60.0, 0.0]], "dt": 0.01})
+    out = [block_buffered_stdout(CSV_AFTER_A_PRINT, str(inp), str(cpus), timeout=120)
+           for cpus in (1, 2, 3)]
+    lines = out[0].splitlines()
+    assert lines[:2] == [b"before", b"t,rho1,rho2,rho3,purity,u"]
+    assert lines[-1] == b"after"
+    assert len(lines) == 10_001 + 3
+    assert out[1] == out[0]
+    assert out[2] == out[0]
 
 
 def test_evolve_json_peak_memory(tmp_path):

@@ -5,6 +5,9 @@ import mpmath
 import numpy as np
 import pytest
 
+from forking import (assert_no_child_left, count_forks, fail_in_workers, patch_cpus,
+                     record_maps)
+from spinaccess import dynamics
 from spinaccess import (ControlSchedule, Trajectory, UnphysicalStateError,
                         dissipation_from_kossakowski, evolve_schedule,
                         hamiltonian_matrix, is_physical, lindblad_superop,
@@ -318,6 +321,45 @@ def test_stacked_expm_and_propagate_equal_single_calls_bitwise():
     states = propagate(l, v0, times)
     assert states.shape == (len(times), 3)
     assert all(np.array_equal(states[k], propagate(l, v0, t)) for k, t in enumerate(times))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_propagate_states_do_not_depend_on_the_worker_count(monkeypatch, cpus):
+    # one block, two blocks split at one time past PROPAGATE_BLOCK, and four
+    # blocks, over one, two and three processes; the times are unsorted, so
+    # the stacks that expm squares are out of order too
+    patch_cpus(monkeypatch, cpus)
+    rng = np.random.default_rng(33)
+    l, v0 = random_generators(rng, 1)[0], [0.3, -0.1, 0.2]
+    l /= np.abs(l).max()
+    for n in (PROPAGATE_BLOCK - 1, PROPAGATE_BLOCK + 1, 3 * PROPAGATE_BLOCK + 1):
+        times = rng.uniform(0.0, 50.0, n)
+        states = propagate(l, v0, times)
+        assert states.shape == (n, 3)
+        assert all(np.array_equal(states[k], propagate(l, v0, t))
+                   for k, t in enumerate(times)), n
+
+
+def test_propagate_forks_and_maps_only_for_more_than_one_block(monkeypatch):
+    patch_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    maps = record_maps(monkeypatch)
+    l, v0 = -np.eye(3), [0.3, -0.1, 0.2]
+    propagate(l, v0, 0.5)
+    propagate(l, v0, np.linspace(0.0, 5.0, PROPAGATE_BLOCK))
+    assert forks == maps == []
+    propagate(l, v0, np.linspace(0.0, 5.0, PROPAGATE_BLOCK + 1))
+    assert len(forks) == 1
+    assert maps == [24 * (PROPAGATE_BLOCK + 1)]
+    assert_no_child_left()
+
+
+def test_propagate_raises_for_a_failed_worker(monkeypatch):
+    patch_cpus(monkeypatch, 2)
+    fail_in_workers(monkeypatch, dynamics, "expm")
+    with pytest.raises(RuntimeError, match="1 of 1 propagation workers failed"):
+        propagate(-np.eye(3), [0.3, -0.1, 0.2], np.linspace(0.0, 5.0, 2 * PROPAGATE_BLOCK))
+    assert_no_child_left()
 
 
 def test_propagate_rejects_negative_times():

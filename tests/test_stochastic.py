@@ -1,6 +1,4 @@
 import os
-import subprocess
-import sys
 import time
 import tracemalloc
 import warnings
@@ -11,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
+from forking import assert_no_child_left, block_buffered_stdout, patch_cpus
 from spinaccess import stochastic
 from spinaccess import (ControlSchedule, CorrelationModel, InvalidModelError,
                         StepSizeError, build_spin_generator, coefficients,
@@ -826,13 +825,6 @@ def test_mc_validate_same_seed_same_bytes():
 # the lockstep groups on forked workers
 # ---------------------------------------------------------------------------
 
-def patch_cpus(monkeypatch, count):
-    """Let this process see ``count`` available CPUs, whatever the host has."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
-                        raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: count)
-
-
 def report_bytes(report):
     """Every field of a report, arrays as their bytes and numbers as their repr."""
     return {name: value.tobytes() if isinstance(value, np.ndarray) else repr(value)
@@ -874,11 +866,6 @@ def fail_in_groups(monkeypatch, failures):
         return real(model, b3, u, v0, durations, seed, sample_indices)
 
     monkeypatch.setattr(stochastic, "_state_chunks", chunks)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def test_mc_validate_raises_for_a_failed_worker(monkeypatch):
@@ -930,13 +917,7 @@ print("after")
 def test_mc_validate_workers_leave_the_callers_stdout_alone():
     # a line still in a block-buffered stdout when the worker forks is
     # written once, by this process, and not again by the worker as it exits
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]]
-                                                 if env.get("PYTHONPATH") else []))
-    res = subprocess.run([sys.executable, "-c", WORKERS_AFTER_A_PRINT], env=env,
-                         stdout=subprocess.PIPE, check=True, timeout=60)
-    assert res.stdout == b"before\nafter\n"
+    assert block_buffered_stdout(WORKERS_AFTER_A_PRINT) == b"before\nafter\n"
 
 
 def traced_mc_peak(t_final, n_samples, warm_up_t_final):
