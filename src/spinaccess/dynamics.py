@@ -28,7 +28,7 @@ from .workers import on_workers
 #: Most samples a schedule may produce, ten times a 1e5-sample trajectory.
 #: A CLI ``evolve`` of 999,901 samples on a 2-core host, with a worker on
 #: the second core, peaked at 0.15 GB resident (the largest process) and
-#: took 3.4-3.9 s as CSV, and 0.39 GB and 8.6-9.3 s as JSON.
+#: took 1.5-2.2 s as CSV and 2.3-3.4 s as JSON.
 MAX_SAMPLES = 1_000_000
 
 

@@ -18,6 +18,11 @@ once at the operating b3 and held fixed under switching.
 A Monte Carlo sample's noise and states are the same in any lockstep group
 of samples, under any BLAS kernel and any number of workers; the Markov
 reference is not.
+
+The modules ``cones``, ``liealg``, ``dynamics`` and ``workers`` are imported
+by the functions that use them: ``spinaccess spin-field``, which builds a
+model, its generator and the two admissibility tests, loads only ``cones``
+of them.
 """
 
 import operator
@@ -25,13 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import is_completely_positive, is_positive
-from .dynamics import Trajectory, propagate, sample_times
 from .errors import InvalidModelError, StepSizeError
 from .generator import (HMAT_FACTOR, dissipation_from_kossakowski, hamiltonian_matrix,
                         is_psd, vec6_to_sym)
-from .liealg import lie_closure
-from .workers import on_workers
 
 #: Names of the correlation families.
 FAMILIES = ("zero", "white", "exponential")
@@ -171,6 +172,8 @@ def cp_admissible(coeffs: SpinFieldCoefficients) -> bool:
     Vanishing and white-noise correlations pass, exponential ones only at
     small b3 tau, where lambda_min(C) / |C|_F is about -(b3 tau)^2 at any
     amplitude."""
+    from .cones import is_completely_positive
+
     return is_completely_positive(coefficient_matrix(coeffs))
 
 
@@ -196,6 +199,8 @@ def _time_grid(dt: float, t_final: float, n_samples: int = 1) -> np.ndarray:
     and its per-chunk calls (not for noise: it draws no more steps than the
     grid has), would exceed MAX_SAMPLE_STEPS.
     """
+    from .dynamics import sample_times
+
     if not (dt > 0 and t_final > 0):
         raise ValueError("dt and t_final must be positive")
     if n_samples * max(t_final / dt, NOISE_CHUNK) > MAX_SAMPLE_STEPS:
@@ -469,7 +474,7 @@ def _check_mc_preconditions(model: CorrelationModel, b3: float, u: float, v0, dt
 
 
 def mc_sample(model: CorrelationModel, b3: float, u: float, v0: np.ndarray,
-              dt: float, t_final: float, seed: int) -> Trajectory:
+              dt: float, t_final: float, seed: int) -> "Trajectory":
     """One noise realization of the per-realization (unitary) dynamics.
 
     The state precesses about the instantaneous field, so the norm is
@@ -488,6 +493,8 @@ def mc_sample(model: CorrelationModel, b3: float, u: float, v0: np.ndarray,
         With numpy's message, for a seed ``default_rng([seed, k])`` refuses,
         such as -1 or 1.5.
     """
+    from .dynamics import Trajectory
+
     _check_mc_preconditions(model, b3, u, v0, dt, seed)
     times = _time_grid(dt, t_final)
     states = np.concatenate([chunk[..., 0] for chunk in
@@ -532,6 +539,8 @@ def _ensemble_statistics(model, b3, u, v0, durations, seed, n_samples):
     return, before the caller builds its per-time arrays.
     """
     import mmap  # here, as importing the package should not load it
+
+    from .workers import on_workers
 
     groups = [range(first, min(first + LOCKSTEP_SAMPLES, n_samples))
               for first in range(0, n_samples, LOCKSTEP_SAMPLES)]
@@ -588,6 +597,8 @@ def mc_validate(model: CorrelationModel, b3: float, u: float, v0: np.ndarray,
     """
     if n_samples < 100:
         raise ValueError(f"need at least 100 samples, got {n_samples}")
+    from .dynamics import propagate
+
     _check_mc_preconditions(model, b3, u, v0, dt, seed)
     times = _time_grid(dt, t_final, n_samples)
     mean, m2 = _ensemble_statistics(model, b3, u, v0, np.diff(times), seed, n_samples)
@@ -649,11 +660,15 @@ def family_lie_dimension(model: CorrelationModel, b3: float) -> int:
     use ``lie_closure`` on its own generator pair instead (the family
     dimension can exceed it).
     """
+    from .liealg import lie_closure
+
     return lie_closure(family_lie_generators(model, b3)).dim
 
 
 def positivity_admissible(coeffs: SpinFieldCoefficients) -> bool:
     """True iff the dissipation matrix of the coefficients is PSD."""
+    from .cones import is_positive
+
     return is_positive(coefficient_matrix(coeffs))
 
 

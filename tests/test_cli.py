@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from forking import (assert_no_child_left, block_buffered_stdout, count_forks,
-                     fail_in_workers, patch_cpus, record_maps)
+                     fail_in_workers, patch_cpus)
 from spinaccess.cli import main
 
 
@@ -676,23 +676,26 @@ def test_csv_writer_matches_row_reference(monkeypatch, tmp_path, capsys):
             assert capsys.readouterr().out == want, (m, cpus)
 
 
-def test_csv_rows_of_the_longest_text_fill_their_slots(monkeypatch, tmp_path):
-    # every value printed in 24 characters, so each chunk's text is exactly
-    # CSV_CHUNK_ROWS * _CSV_ROW_BYTES long and fills its slot of the map
+def test_csv_rows_of_the_longest_text_round_trip(monkeypatch, tmp_path):
+    # every value printed in 24 characters, the longest a finite "%.17g"
+    # takes, on one, two and three processes
     from spinaccess import Trajectory
-    from spinaccess.cli import _CSV_ROW_BYTES, CSV_CHUNK_ROWS, _write_csv_trajectory
+    from spinaccess.cli import CSV_CHUNK_ROWS, _write_csv_trajectory
 
-    patch_cpus(monkeypatch, 2)
-    m = 2 * CSV_CHUNK_ROWS + 5
+    m = 3 * CSV_CHUNK_ROWS + 5
     longest = -2.2250738585072014e-308
     traj = Trajectory(times=np.full(m, longest), states=np.full((m, 3), longest),
                       controls=np.full(m, longest))
     traj.purities = np.full(m, longest)
     want = reference_csv(traj)
-    assert len(want.splitlines()[1]) + 1 == _CSV_ROW_BYTES
+    assert len(want.splitlines()[1]) == 6 * 24 + 5
     path = tmp_path / "traj.csv"
-    _write_csv_trajectory(traj, str(path))
-    assert path.read_bytes() == want.encode()
+    for cpus in (1, 2, 3):
+        patch_cpus(monkeypatch, cpus)
+        _write_csv_trajectory(traj, str(path))
+        assert path.read_bytes() == want.encode(), cpus
+    for line in path.read_text().splitlines()[1:]:
+        assert [float(x) for x in line.split(",")] == [longest] * 6
 
 
 def long_trajectory():
@@ -745,35 +748,62 @@ def test_evolve_and_csv_peak_memory_in_one_process(monkeypatch, tmp_path):
     assert traced_evolve_csv_peak(str(tmp_path / "traj.csv")) < 16e6
 
 
-def test_csv_text_map_does_not_grow_with_the_trajectory(monkeypatch, tmp_path):
-    # 11 chunks on two processes are written in 6 rounds through one map of
-    # two slots, reused every round
-    from spinaccess import Trajectory
-    from spinaccess.cli import _CSV_ROW_BYTES, CSV_CHUNK_ROWS, _write_csv_trajectory
+def traced_csv_write_peak(m, path):
+    """The traced peak of this process as it writes an m-row trajectory as
+    CSV, after a warm-up write."""
+    import tracemalloc
 
-    patch_cpus(monkeypatch, 2)
-    m = 10 * CSV_CHUNK_ROWS + 3
+    from spinaccess import Trajectory
+    from spinaccess.cli import _write_csv_trajectory
+
     rng = np.random.default_rng(32)
     traj = Trajectory(times=np.arange(m) * 0.01, states=rng.uniform(-0.3, 0.3, (m, 3)),
                       controls=np.ones(m))
-    maps = record_maps(monkeypatch)
-    _write_csv_trajectory(traj, str(tmp_path / "traj.csv"))
-    assert maps == [2 * CSV_CHUNK_ROWS * _CSV_ROW_BYTES]
-    assert _CSV_ROW_BYTES == 150
+    _write_csv_trajectory(traj, path)
+    tracemalloc.start()
+    try:
+        _write_csv_trajectory(traj, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
-def test_csv_writer_forks_and_maps_only_for_more_than_one_chunk(monkeypatch, tmp_path):
+def test_csv_writer_peak_does_not_grow_with_the_trajectory(monkeypatch, tmp_path):
+    # 5 and 20 chunks, on one, two and three processes: the text this
+    # process holds at once is about one chunk per process, and no table of
+    # the whole trajectory is built, so the peak grows by less than one
+    # chunk's text from 5 chunks to 20 (a whole table would grow it by 2.9 MB)
+    from spinaccess.cli import CSV_CHUNK_ROWS
+
+    path = tmp_path / "traj.csv"
+    for cpus in (1, 2, 3):
+        patch_cpus(monkeypatch, cpus)
+        small = traced_csv_write_peak(5 * CSV_CHUNK_ROWS, str(path))
+        chunk_text = path.stat().st_size / 5
+        large = traced_csv_write_peak(20 * CSV_CHUNK_ROWS, str(path))
+        assert large - small < chunk_text, (cpus, small, large, chunk_text)
+    assert_no_child_left()
+
+
+def test_csv_writer_forks_once_per_worker_for_more_than_one_chunk(monkeypatch, tmp_path):
+    # W - 1 forks, W the least of the chunks and the CPUs, whatever the
+    # number of chunks; none for one chunk or one CPU.  Five CPUs give more
+    # workers than most hosts have cores, and the same bytes
     from spinaccess import Trajectory
     from spinaccess.cli import CSV_CHUNK_ROWS, _write_csv_trajectory
 
-    patch_cpus(monkeypatch, 2)
     forks = count_forks(monkeypatch)
-    maps = record_maps(monkeypatch)
-    for m in (1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1):
-        traj = Trajectory(times=np.arange(m) * 0.01, states=np.full((m, 3), 0.1),
-                          controls=np.ones(m))
-        _write_csv_trajectory(traj, str(tmp_path / "traj.csv"))
-        assert len(forks) == len(maps) == (m > CSV_CHUNK_ROWS), m
+    for cpus in (1, 2, 3, 5):
+        patch_cpus(monkeypatch, cpus)
+        for chunks, m in [(1, 1), (1, CSV_CHUNK_ROWS), (2, CSV_CHUNK_ROWS + 1),
+                          (7, 6 * CSV_CHUNK_ROWS + 5)]:
+            traj = Trajectory(times=np.arange(m) * 0.01, states=np.full((m, 3), 0.1),
+                              controls=np.ones(m))
+            before = len(forks)
+            _write_csv_trajectory(traj, str(tmp_path / "traj.csv"))
+            assert len(forks) - before == min(chunks, cpus) - 1, (cpus, m)
+            assert (tmp_path / "traj.csv").read_text() == reference_csv(traj)
     assert_no_child_left()
 
 
@@ -788,6 +818,46 @@ def test_csv_writer_raises_for_a_failed_worker(monkeypatch, tmp_path):
     with pytest.raises(RuntimeError, match="1 of 1 CSV workers failed"):
         cli._write_csv_trajectory(traj, str(tmp_path / "traj.csv"))
     assert_no_child_left()
+
+
+CSV_WORKER_FAILS_MID_STREAM = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1, 2}
+import numpy as np
+from spinaccess import Trajectory, cli
+
+parent, real = os.getpid(), cli._csv_text
+
+def failing(rows):
+    # the first worker fails on its second chunk, 4, having sent chunk 1,
+    # while the second still has six chunks to send
+    if os.getpid() != parent and rows[0, 0] == 4 * cli.CSV_CHUNK_ROWS:
+        raise ValueError("chunk 4 failed in a worker")
+    return real(rows)
+
+cli._csv_text = failing
+m = 20 * cli.CSV_CHUNK_ROWS
+traj = Trajectory(times=np.arange(m, dtype=float), states=np.full((m, 3), 0.1),
+                  controls=np.ones(m))
+try:
+    cli._write_csv_trajectory(traj, sys.argv[1])
+except RuntimeError as exc:
+    print(exc)
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+"""
+
+
+def test_csv_worker_failing_mid_stream_raises_and_leaves_no_child(tmp_path):
+    # on three processes: had the second worker inherited the first one's
+    # write end, this process would wait on that pipe for good, and the
+    # second worker on its own full pipe
+    out = block_buffered_stdout(CSV_WORKER_FAILS_MID_STREAM, str(tmp_path / "traj.csv"),
+                                timeout=60)
+    assert out.decode().splitlines() == ["1 of 2 CSV workers failed, exit codes [1]",
+                                         "no child left"]
 
 
 CSV_AFTER_A_PRINT = """
@@ -818,14 +888,55 @@ def test_evolve_workers_leave_the_callers_stdout_alone(tmp_path):
     assert out[2] == out[0]
 
 
+def reference_json(traj):
+    """The dict of lists _write_json_trajectory replaced, dumped whole with
+    indent 2, kept as its reference."""
+    return json.dumps({
+        "times": traj.times.tolist(),
+        "states": traj.states.tolist(),
+        "purities": traj.purities.tolist(),
+        "controls": traj.controls.tolist(),
+        "violations": traj.violations.tolist(),
+        "exited_ball": traj.exited_ball,
+    }, indent=2) + "\n"
+
+
+def test_json_writer_matches_dict_reference(tmp_path, capsys):
+    # one row, chunk edges and a few chunks, with non-finite values, signed
+    # zeros, subnormals and samples outside the Bloch ball
+    from spinaccess import Trajectory
+    from spinaccess.cli import CSV_CHUNK_ROWS, _write_json_trajectory
+
+    rng = np.random.default_rng(33)
+    for m in (1, 2, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1,
+              3 * CSV_CHUNK_ROWS + 7):
+        for outside in (False, True):
+            states = rng.uniform(-0.28, 0.28, (m, 3))
+            states[0] = [-0.0, 0.5, 1e-320]
+            if outside:
+                states[-1] = [np.inf, np.nan, -np.inf]
+                states[m // 2] = [0.6, 0.0, 0.0]
+            traj = Trajectory(times=np.cumsum(rng.uniform(0, 0.1, m)), states=states,
+                              controls=rng.choice([0.0, 1.0, -2.5, 1 / 3], m))
+            assert traj.exited_ball == outside
+            want = reference_json(traj)
+            path = tmp_path / "traj.json"
+            _write_json_trajectory(traj, str(path))
+            assert path.read_text() == want, (m, outside)
+            capsys.readouterr()
+            _write_json_trajectory(traj, None)
+            assert capsys.readouterr().out == want, (m, outside)
+
+
 def test_evolve_json_peak_memory(tmp_path):
-    # a warm 2e4-sample schedule written as JSON: json.dump streams the text,
-    # so only the nested lists of the trajectory stay (6 MB); building the
-    # whole text first peaked at 22 MB
+    # a warm 2e4-sample schedule written as JSON: the text is dumped a chunk
+    # of rows at a time, so beside the trajectory's arrays only one chunk's
+    # lists and text stay (3.5 MB); the nested lists of the whole trajectory,
+    # dumped by json.dump, peaked at 6 MB, and the whole text first at 22 MB
     import tracemalloc
 
     from spinaccess import ControlSchedule, evolve_schedule
-    from spinaccess.cli import _trajectory_dict, _write_json
+    from spinaccess.cli import _write_json_trajectory
     from spinaccess.generator import dissipation_from_kossakowski
 
     rng = np.random.default_rng(31)
@@ -838,10 +949,10 @@ def test_evolve_json_peak_memory(tmp_path):
     def work():
         traj = evolve_schedule(h, d, sched, [0.3, 0.1, 0.0], 0.01)
         assert len(traj.times) == 20_001
-        _write_json(_trajectory_dict(traj), str(path))
+        _write_json_trajectory(traj, str(path))
+        return traj
 
-    work()
-    want = json.dumps(json.loads(path.read_text()), indent=2) + "\n"
+    want = reference_json(work())
     assert path.read_text() == want
     tracemalloc.start()
     try:
