@@ -154,7 +154,7 @@ def _write_csv_trajectory(traj, path):
 
     with _output(path) as fh:
         fh.write("t,rho1,rho2,rho3,purity,u\n")
-        in_order(len(starts), chunk, lambda text: fh.write(text.decode("ascii")), "CSV")
+        in_order(len(starts), chunk, lambda i, text: fh.write(text.decode("ascii")), "CSV")
 
 
 def _json_chunks(values):

@@ -6,8 +6,8 @@ along a schedule.  ``expm`` is the scaling-and-squaring Pade method in numpy
 alone, over a stack of matrices, so propagating many times costs one call and
 the package needs no scipy.  ``propagate`` takes the exponentials of its
 times in blocks of PROPAGATE_BLOCK; the blocks of a longer call are spread
-over forked worker processes (``workers.on_workers``) and written into
-memory they share, so the states do not depend on the number of CPUs.  A
+over forked worker processes (``workers.in_order``), which hand their states
+back in order, so the states do not depend on the number of CPUs.  A
 schedule's sample at time t in a segment that starts at t_seg from state
 v_seg is exp(L (t - t_seg)) v_seg, one exponential from the segment start,
 never a chain of steps.  Bloch-ball violations along
@@ -23,7 +23,7 @@ import numpy as np
 from .coherence import is_physical, purity
 from .errors import UnphysicalStateError
 from .generator import lindblad_superop
-from .workers import on_workers
+from .workers import in_order
 
 #: Most samples a schedule may produce, ten times a 1e5-sample trajectory.
 #: A CLI ``evolve`` of 999,901 samples on a 2-core host, with a worker on
@@ -142,10 +142,10 @@ def propagate(l: np.ndarray, v0: np.ndarray, t) -> np.ndarray:
     one state per time, (..., 3).  The exponentials of PROPAGATE_BLOCK
     times are computed per ``expm`` call, and every state equals the one
     propagated for its time alone.  Up to PROPAGATE_BLOCK times take one
-    call in this process.  More are written into an anonymous shared map,
-    their blocks spread over this process and forked workers, one per CPU
-    this process may run on; the result is a view of that map.  A worker
-    that fails raises RuntimeError.  A negative or non-finite time and a
+    call in this process.  More have their blocks spread over this process
+    and forked workers, one per CPU this process may run on, and copied in
+    order into the result, an ordinary array at every size.  A worker that
+    fails raises RuntimeError.  A negative or non-finite time and a
     non-finite generator or state raise ValueError before any work.
     """
     times = np.asarray(t, dtype=float)
@@ -159,16 +159,14 @@ def propagate(l: np.ndarray, v0: np.ndarray, t) -> np.ndarray:
     flat = times.reshape(-1)
     if len(flat) <= PROPAGATE_BLOCK:
         return (expm(l * flat[:, None, None]) @ v0).reshape(times.shape + (3,))
-    import mmap  # here, as importing the package should not load it
+    blocks = [slice(i, i + PROPAGATE_BLOCK) for i in range(0, len(flat), PROPAGATE_BLOCK)]
+    out = np.empty((len(flat), 3))
 
-    out = np.frombuffer(mmap.mmap(-1, 24 * len(flat)), dtype=float).reshape(-1, 3)
-    blocks = range(0, len(flat), PROPAGATE_BLOCK)
+    def take(b, states):
+        out[blocks[b]] = np.frombuffer(states).reshape(-1, 3)
 
-    def block(b):
-        part = flat[blocks[b]:blocks[b] + PROPAGATE_BLOCK]
-        out[blocks[b]:blocks[b] + len(part)] = expm(l * part[:, None, None]) @ v0
-
-    on_workers(len(blocks), block, "propagation")
+    in_order(len(blocks), lambda b: expm(l * flat[blocks[b], None, None]) @ v0, take,
+             "propagation")
     return out.reshape(times.shape + (3,))
 
 

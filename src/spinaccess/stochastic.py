@@ -116,6 +116,10 @@ def coefficients(model: CorrelationModel, b3: float) -> SpinFieldCoefficients:
         c11 = 2 w11 tau / den          c12 = 2 w11 b3 tau^2 / den
         c13 = w13 tau (1/den + 1)      c23 = 2 w13 b3 tau^2 / den
         c33 = 2 w33 tau                omega2 = w13 tau (1/den - 1)
+
+    Where (2 b3 tau)^2 or tau^2 is not a double, 1/den, tau/den and
+    2 b3 tau^2/den are formed without them; a coefficient that overflows
+    all the same is inf, which ``build_spin_generator`` refuses.
     """
     if model.family == "zero":
         return SpinFieldCoefficients(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, b3)
@@ -125,17 +129,31 @@ def coefficients(model: CorrelationModel, b3: float) -> SpinFieldCoefficients:
             omega1=0.0, omega2=0.0, omega3=0.0, b3=b3)
     tau = model.tau
     rate = HMAT_FACTOR * b3  # precession rate about the mean field
-    den = 1.0 + (rate * tau) ** 2
-    c12 = model.w11 * rate * tau**2 / den
-    c23 = model.w13 * rate * tau**2 / den
+    x = rate * tau
+    if abs(x) < 2.0**512 and tau < 2.0**512:  # both squares are doubles
+        den = 1.0 + x**2
+        c11 = 2.0 * model.w11 * tau / den
+        c12 = model.w11 * rate * tau**2 / den
+        c23 = model.w13 * rate * tau**2 / den
+        inv_den = 1.0 / den
+    else:  # from 1/den, tau/den and tau x/den, squaring neither tau nor |x| > 1
+        if abs(x) <= 1.0:
+            inv_den = 1.0 / (1.0 + x * x)
+            tau_den, tau_x_den = tau * inv_den, tau * x * inv_den
+        else:  # by s = 1/x, formed as (tau/x)/tau, as x may overflow
+            tau_x = 1.0 / rate
+            s = tau_x / tau
+            q = 1.0 / (1.0 + s * s)  # x^2/den
+            tau_den, tau_x_den, inv_den = tau_x * s * q, tau_x * q, s * s * q
+        c11, c12, c23 = 2.0 * model.w11 * tau_den, model.w11 * tau_x_den, model.w13 * tau_x_den
     return SpinFieldCoefficients(
-        c11=2.0 * model.w11 * tau / den,
+        c11=c11,
         c12=c12,
-        c13=model.w13 * tau * (1.0 / den + 1.0),
+        c13=model.w13 * tau * (inv_den + 1.0),
         c23=c23,
         c33=2.0 * model.w33 * tau,
         omega1=c23,
-        omega2=model.w13 * tau * (1.0 / den - 1.0),
+        omega2=model.w13 * tau * (inv_den - 1.0),
         omega3=-c12,
         b3=b3)
 
@@ -160,9 +178,14 @@ def build_spin_generator(coeffs: SpinFieldCoefficients, u: float) -> tuple[np.nd
     The control value multiplies only the mean-field frequency b3; the
     noise-induced frequencies omega_k and the dissipation matrix are fixed.
     Returns (H, D) with the equation of motion dv/dt = -(H + D) v.
+    ValueError where either overflows, as for |u b3| near the largest double.
     """
-    return (hamiltonian_matrix(hamiltonian_vector(coeffs, u)),
-            dissipation_from_kossakowski(coefficient_matrix(coeffs)))
+    with np.errstate(over="ignore"):  # refused below
+        h = hamiltonian_matrix(hamiltonian_vector(coeffs, u))
+    d = dissipation_from_kossakowski(coefficient_matrix(coeffs))
+    if not np.isfinite(h).all():
+        raise ValueError("Hamiltonian matrix overflows")
+    return h, d
 
 
 def cp_admissible(coeffs: SpinFieldCoefficients) -> bool:
@@ -517,9 +540,10 @@ class MCValidationReport:
     within_3se: bool
 
 
-def _group_statistics(model, b3, u, v0, durations, seed, group, out):
-    """Write one lockstep group's per-time mean into ``out[0]`` and its sum of
-    squares about that mean into ``out[1]``, both (times, 3)."""
+def _group_statistics(model, b3, u, v0, durations, seed, group):
+    """One lockstep group's per-time mean and its sum of squares about that
+    mean, stacked as (2, times, 3)."""
+    out = np.empty((2, len(durations) + 1, 3))
     j = 0
     for chunk in _state_chunks(model, b3, u, v0, durations, seed, group):
         rows = slice(j, j + len(chunk))
@@ -528,33 +552,29 @@ def _group_statistics(model, b3, u, v0, durations, seed, group, out):
         np.subtract(chunk, group_mean[..., None], out=chunk)
         np.einsum("ijk,ijk->ij", chunk, chunk, out=out[1, rows])
         j = rows.stop
+    return out
 
 
 def _ensemble_statistics(model, b3, u, v0, durations, seed, n_samples):
-    """The ensemble's per-time mean and sum of squares about it, each (times, 3).
-
-    Each lockstep group's statistics are written into memory the forked
-    workers share, then merged in group order, so the result does not
-    depend on which process ran which group.  That memory is released on
-    return, before the caller builds its per-time arrays.
-    """
-    import mmap  # here, as importing the package should not load it
-
-    from .workers import on_workers
+    """The ensemble's per-time mean and sum of squares about it, each (times, 3),
+    merged a group at a time in the order ``workers.in_order`` hands them over."""
+    from .workers import in_order
 
     groups = [range(first, min(first + LOCKSTEP_SAMPLES, n_samples))
               for first in range(0, n_samples, LOCKSTEP_SAMPLES)]
-    shape = (len(groups), 2, len(durations) + 1, 3)
-    stats = np.frombuffer(mmap.mmap(-1, 8 * int(np.prod(shape))), dtype=float).reshape(shape)
-    on_workers(len(groups), lambda g: _group_statistics(
-        model, b3, u, v0, durations, seed, groups[g], stats[g]), "Monte Carlo")
-    mean = np.zeros(shape[2:])
-    m2 = np.zeros(shape[2:])
-    for group, (group_mean, sq) in zip(groups, stats):
+    mean = np.zeros((len(durations) + 1, 3))
+    m2 = np.zeros_like(mean)
+
+    def merge(g, stats):
+        group = groups[g]
+        group_mean, sq = np.frombuffer(stats).reshape(2, -1, 3)
         delta = group_mean - mean
-        mean += delta * (len(group) / group.stop)
-        m2 += sq
-        m2 += delta**2 * (group.start * len(group) / group.stop)
+        mean[...] += delta * (len(group) / group.stop)
+        m2[...] += sq
+        m2[...] += delta**2 * (group.start * len(group) / group.stop)
+
+    in_order(len(groups), lambda g: _group_statistics(
+        model, b3, u, v0, durations, seed, groups[g]), merge, "Monte Carlo")
     return mean, m2
 
 
@@ -576,15 +596,17 @@ def mc_validate(model: CorrelationModel, b3: float, u: float, v0: np.ndarray,
     the report's per-time arrays.  The groups run on up to one process per
     CPU this process may use, all but one of them forked workers (``taskset``
     limits them).  Each group's mean and centred sum of squares at each time
-    are merged in group order into the running ones (Chan, Golub & LeVeque,
-    Amer. Statist. 37, 1983), so the standard error does not lose digits to
-    cancellation when the spread is small against the mean.  A sample's
+    reach this process in group order and are merged into the running ones
+    as they arrive (Chan, Golub & LeVeque, Amer. Statist. 37, 1983), so no
+    array holds every group's, and the standard error does not lose digits
+    to cancellation when the spread is small against the mean.  A sample's
     states are the same in any group, under any BLAS kernel and on any
     number of workers, so ``mean_states`` and ``standard_error`` depend on
     the seed alone; ``markov_states`` depend on the LAPACK kernel in their
     last bits.
 
-    Raises RuntimeError, after every worker has ended, when a worker fails.
+    Raises RuntimeError, after every worker has ended, when a worker fails,
+    and ValueError where the mean or the reference is not finite.
 
     ``within_3se`` is a pointwise test: every (time, component) deviation,
     about 3000 of them on a 1000-step grid, must lie within 3 standard
@@ -608,6 +630,8 @@ def mc_validate(model: CorrelationModel, b3: float, u: float, v0: np.ndarray,
     markov = propagate(-(h + d), v0, times)
 
     dev = np.abs(mean - markov)
+    if not np.isfinite([dev, se]).all():
+        raise ValueError(f"Monte Carlo mean or Markov reference not finite at b3 = {b3}, dt = {dt}")
     ratio = dev / np.maximum(se, 1e-15)
     return MCValidationReport(
         n_samples=n_samples,

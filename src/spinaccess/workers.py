@@ -1,22 +1,19 @@
 """Independent parts of one computation, spread over forked worker processes.
 
-``on_workers`` and ``in_order`` run numbered parts on this process and on
-workers forked from it, one process per CPU this process may run on.  With
-``on_workers`` a part's results reach the caller through memory the
-processes share, an anonymous ``mmap`` the caller allocates before the
-call; with ``in_order`` each part returns bytes, which a worker sends to
-this process through a pipe of its own, and the caller takes the parts in
-order.  Either way, what a caller computes does not depend on which process
-ran which part or on how many ran.
+``in_order`` runs numbered parts on this process and on workers forked from
+it, one process per CPU this process may run on.  A worker sends each part
+it runs, a C-contiguous buffer, through a pipe of its own, and this process
+takes the parts in order, so what a caller computes does not depend on
+which process ran which part or on how many ran.
 """
 
 import os
 
 
 def worker_count(count: int) -> int:
-    """Processes ``on_workers`` and ``in_order`` spread ``count`` parts
-    over: the least of ``count`` and the CPUs this process may run on, and
-    1 where there is no ``os.fork``."""
+    """Processes ``in_order`` spreads ``count`` parts over: the least of
+    ``count`` and the CPUs this process may run on, and 1 where there is no
+    ``os.fork``."""
     if not hasattr(os, "fork"):
         return 1
     try:
@@ -65,44 +62,10 @@ def _raise_failed(failed: list, workers: int, name: str) -> None:
                            f"exit codes {failed}")
 
 
-def on_workers(count: int, work, name: str) -> None:
-    """Run ``work(i)`` for i in range(count), spread over W = worker_count(count)
-    processes: W - 1 forked workers, worker w taking i = w, w + W, ..., and
-    this process taking i = 0, W, ....  Where W is 1, this process runs
-    every i in turn and forks nothing.
-
-    ``work`` returns nothing: a worker's results reach this process only
-    through memory they share.  Each worker ends by ``os._exit``, so it
-    flushes no inherited stdio buffer and runs no exit handler.  Every
-    worker is reaped before this returns or raises; on any exception here,
-    KeyboardInterrupt too, the workers left are killed first.  A worker
-    that fails raises RuntimeError here, after all are reaped, with a
-    message that begins "k of W - 1 ``name`` workers failed".
-    """
-    workers = worker_count(count)
-
-    def run(w):
-        for i in range(w, count, workers):
-            work(i)
-
-    pids, failed = [], []
-    try:
-        for w in range(1, workers):
-            pids.append(_fork(lambda: run(w)))
-        run(0)
-        while pids:
-            code = _wait(pids[-1])
-            if code:
-                failed.append(code)
-            pids.pop()
-    finally:
-        _kill(pids)
-    _raise_failed(failed, workers, name)
-
-
 def _send(fd: int, data) -> None:
-    """Write one part to a pipe: its length in 8 bytes, then its bytes."""
-    view = memoryview(data)
+    """Write one C-contiguous part to a pipe: its length in bytes, in 8
+    bytes, then its bytes."""
+    view = memoryview(data).cast("B")
     os.write(fd, len(view).to_bytes(8, "little"))  # below PIPE_BUF: whole
     while view:
         view = view[os.write(fd, view):]
@@ -127,17 +90,23 @@ def _receive(fd: int):
 
 
 def in_order(count: int, work, take, name: str) -> None:
-    """Call ``take(work(i))`` for i = 0, 1, ..., count - 1 in turn, ``work``
-    spread over processes as by ``on_workers`` and ``take`` called here.
+    """Call ``take(i, work(i))`` for i = 0, 1, ..., count - 1 in turn, here.
 
-    ``work(i)`` returns a bytes-like part.  Each worker is forked once and
-    sends its parts through a pipe of its own, blocking while the pipe is
-    full, so the parts held at once are about one per process, whatever
-    ``count`` is.  A worker closes every pipe end but its own write end, so
-    one that dies ends its pipe, and this process reads no further.  A
-    failed worker raises RuntimeError here, with the message of
-    ``on_workers``, once every worker has ended: the others are killed
-    when one fails, and on any exception here.
+    ``work`` runs on W = worker_count(count) processes, part i on process
+    i mod W: this one, 0, and W - 1 workers, each forked once; where W is 1,
+    nothing is forked.  ``work(i)`` returns a C-contiguous buffer, which
+    ``take`` gets as it is where this process ran it and as a bytearray of
+    its bytes where a worker did, so both read alike through
+    ``np.frombuffer`` or ``decode``.  A worker blocks while its pipe is
+    full, so about one part per process is held at once, and closes every
+    pipe end but its own write end, so one that dies ends its pipe.
+
+    Each worker ends by ``os._exit``, flushing no inherited stdio buffer and
+    running no exit handler.  Every worker is reaped before this returns or
+    raises; the others are killed when one fails, and on any exception
+    here, KeyboardInterrupt too.  A failed worker raises RuntimeError, once
+    all have ended, with a message that begins "k of W - 1 ``name``
+    workers failed".
     """
     workers = worker_count(count)
 
@@ -162,7 +131,7 @@ def in_order(count: int, work, take, name: str) -> None:
             if part is None:
                 failed.append(_wait(pids.pop(w)))
                 break
-            take(part)
+            take(i, part)
         else:
             for w in list(pids):
                 code = _wait(pids.pop(w))

@@ -27,21 +27,6 @@ def count_forks(monkeypatch):
     return forks
 
 
-def record_maps(monkeypatch):
-    """A list that gains the length of each anonymous ``mmap.mmap`` made."""
-    import mmap
-
-    lengths = []
-    real = mmap.mmap
-
-    def spy(fileno, length, *args, **kwargs):
-        lengths.append(length)
-        return real(fileno, length, *args, **kwargs)
-
-    monkeypatch.setattr(mmap, "mmap", spy)
-    return lengths
-
-
 def fail_in_workers(monkeypatch, module, name):
     """Make ``module.name`` raise in any process forked from this one."""
     parent = os.getpid()

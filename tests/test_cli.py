@@ -235,6 +235,43 @@ def test_spin_field_rejects_an_overflowing_dissipation_matrix(tmp_path, capsys):
     assert "dissipation matrix overflows" in captured.err
 
 
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("command", ["spin-field", "montecarlo"])
+@pytest.mark.parametrize("b3, tau", [(1e300, 0.5), (-1e300, 0.5), (1e155, 0.5), (1e153, 0.5),
+                                     (1.0, 1e200)])
+def test_exponential_family_past_the_squaring_limit_exits_cleanly(tmp_path, capsys, command,
+                                                                  b3, tau):
+    # (2 b3 tau)^2 or tau^2 is not a double: the coefficients raised
+    # OverflowError out of main.  Now strict JSON on exit 0, or one error line
+    inp = tmp_path / "in.json"
+    out = tmp_path / "out.json"
+    data = {"family": "exponential", "w11": 1.0, "w13": 0.2, "w33": 1.0, "tau": tau, "b3": b3}
+    if command == "montecarlo":
+        data.update(v0=[0.5, 0, 0], dt=0.01, t_final=0.05, n_samples=100)
+    write_json(inp, data)
+    code = run([command, "--input", inp, "--output", out])
+    err = capsys.readouterr().err
+    assert code in (0, 1)
+    assert "Traceback" not in err
+    if code == 0:
+        json.loads(out.read_text(), parse_constant=refuse_constant)
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_spin_field_rejects_an_overflowing_hamiltonian(tmp_path, capsys):
+    # 2 u b3 = 2e308 is not a double: refused, where it printed Infinity
+    inp = tmp_path / "in.json"
+    write_json(inp, {"family": "white", "w11": 1.0, "w13": 0.0, "w33": 1.0, "b3": 1e308})
+    assert run(["spin-field", "--input", inp]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Hamiltonian matrix overflows\n"
+
+
 @pytest.mark.parametrize("command", ["spin-field", "montecarlo"])
 @pytest.mark.parametrize("family", [3, ["white"], {"a": 1}, "pink", None])
 def test_family_outside_the_three_names_is_input_error(tmp_path, capsys, command, family):
@@ -716,7 +753,7 @@ def long_trajectory():
 def traced_evolve_csv_peak(path):
     """The traced peak of this process as it samples the 1e5-sample schedule
     and writes it as CSV, after a warm-up run.  Workers forked for some
-    blocks and chunks are not traced, nor is the memory they share."""
+    blocks and chunks are not traced."""
     import tracemalloc
 
     from spinaccess.cli import _write_csv_trajectory
@@ -738,8 +775,8 @@ def test_evolve_and_csv_peak_memory(tmp_path):
     # a warm 1e5-sample schedule written as CSV: the trajectory arrays, the
     # stacked table and one formatted chunk stay below 16 MB; the per-sample
     # lists and whole-text join this replaced peaked at 41 MB.  On a host
-    # with more than one CPU the states and the CSV text are in shared maps
-    # and only this process is traced; the one-process run is below
+    # with more than one CPU the blocks and chunks that workers compute are
+    # not traced; the one-process run is below
     assert traced_evolve_csv_peak(str(tmp_path / "traj.csv")) < 16e6
 
 

@@ -5,8 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from forking import (assert_no_child_left, count_forks, fail_in_workers, patch_cpus,
-                     record_maps)
+from forking import assert_no_child_left, count_forks, fail_in_workers, patch_cpus
 from spinaccess import dynamics
 from spinaccess import (ControlSchedule, Trajectory, UnphysicalStateError,
                         dissipation_from_kossakowski, evolve_schedule,
@@ -340,18 +339,24 @@ def test_propagate_states_do_not_depend_on_the_worker_count(monkeypatch, cpus):
                    for k, t in enumerate(times)), n
 
 
-def test_propagate_forks_and_maps_only_for_more_than_one_block(monkeypatch):
+def test_propagate_forks_only_for_more_than_one_block(monkeypatch):
+    # and returns an ordinary array at either size, whose memory is numpy's
+    # own, not a view of some other buffer
     patch_cpus(monkeypatch, 2)
     forks = count_forks(monkeypatch)
-    maps = record_maps(monkeypatch)
     l, v0 = -np.eye(3), [0.3, -0.1, 0.2]
     propagate(l, v0, 0.5)
-    propagate(l, v0, np.linspace(0.0, 5.0, PROPAGATE_BLOCK))
-    assert forks == maps == []
-    propagate(l, v0, np.linspace(0.0, 5.0, PROPAGATE_BLOCK + 1))
+    states = [propagate(l, v0, np.linspace(0.0, 5.0, PROPAGATE_BLOCK))]
+    assert forks == []
+    states.append(propagate(l, v0, np.linspace(0.0, 5.0, PROPAGATE_BLOCK + 1)))
     assert len(forks) == 1
-    assert maps == [24 * (PROPAGATE_BLOCK + 1)]
     assert_no_child_left()
+    for n, s in zip((PROPAGATE_BLOCK, PROPAGATE_BLOCK + 1), states):
+        root = s
+        while isinstance(root.base, np.ndarray):
+            root = root.base
+        assert type(s) is np.ndarray and root.base is None
+        assert s.shape == (n, 3) and s.flags.writeable
 
 
 def test_propagate_raises_for_a_failed_worker(monkeypatch):

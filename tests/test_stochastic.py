@@ -4,6 +4,7 @@ import tracemalloc
 import warnings
 from statistics import NormalDist
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -92,6 +93,42 @@ def test_closed_forms_match_quadrature():
     c = coefficients(model, b3=1.3)
     ref = quad_coefficients(1.0, 0.4, 0.9, 0.7, 1.3)
     assert np.allclose([c.c11, c.c12, c.c13, c.c23, c.c33, c.omega2], ref, atol=1e-10)
+
+
+def mp_coefficients(w11, w13, w33, tau, b3):
+    """(c11, c12, c13, c23, c33, omega2) of the exponential family, in 60 digits."""
+    with mpmath.workdps(60):
+        tau, rate = mpmath.mpf(tau), 2 * mpmath.mpf(b3)
+        den = 1 + (rate * tau) ** 2
+        return [float(c) for c in (2 * w11 * tau / den, w11 * rate * tau**2 / den,
+                                   w13 * tau * (1 / den + 1), w13 * rate * tau**2 / den,
+                                   2 * w33 * tau, w13 * tau * (1 / den - 1))]
+
+
+@pytest.mark.parametrize("b3", [1e300, -1e300, 1e155, 1e153, -3e160, 2.0**511,
+                                float(np.nextafter(2.0**511, 0.0)), 1.0, 0.0, 1e-300])
+@pytest.mark.parametrize("tau", [0.5, 1.0, 1e200, 1.2e154, 2.0**512, 1e300])
+def test_exponential_coefficients_past_the_squaring_limit(b3, tau):
+    # |2 b3 tau| or tau at or past 2**512, whose square is not a double, and
+    # up to it: the closed forms to rounding, against 60-digit arithmetic;
+    # 2 b3 = 2**512 at tau = 1 is the first product past the limit
+    w11, w13, w33 = 1.0, 0.2, 0.9
+    c = coefficients(CorrelationModel("exponential", w11=w11, w13=w13, w33=w33, tau=tau),
+                     b3=b3)
+    got = [c.c11, c.c12, c.c13, c.c23, c.c33, c.omega2]
+    ref = mp_coefficients(w11, w13, w33, tau, b3)
+    for name, x, r in zip(("c11", "c12", "c13", "c23", "c33", "omega2"), got, ref):
+        assert abs(x - r) <= 1e-14 * abs(r) + 1e-307, (name, x, r)
+    assert (c.omega1, c.omega3) == (c.c23, -c.c12)
+
+
+def test_spin_generator_refuses_an_overflowing_hamiltonian():
+    # 2 u b3 past the largest double: refused, where spin-field printed Infinity
+    coeffs = coefficients(CorrelationModel("white", w11=1.0, w33=1.0), b3=1e308)
+    with pytest.raises(ValueError, match="Hamiltonian matrix overflows"):
+        build_spin_generator(coeffs, u=1.0)
+    h, _ = build_spin_generator(coeffs, u=0.0)
+    assert np.array_equal(h, np.zeros((3, 3)))
 
 
 def test_derived_frequency_relations():
