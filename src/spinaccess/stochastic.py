@@ -117,9 +117,12 @@ def coefficients(model: CorrelationModel, b3: float) -> SpinFieldCoefficients:
         c13 = w13 tau (1/den + 1)      c23 = 2 w13 b3 tau^2 / den
         c33 = 2 w33 tau                omega2 = w13 tau (1/den - 1)
 
-    Where (2 b3 tau)^2 or tau^2 is not a double, 1/den, tau/den and
-    2 b3 tau^2/den are formed without them; a coefficient that overflows
-    all the same is inf, which ``build_spin_generator`` refuses.
+    Where (2 b3 tau)^2 or tau^2 is not a double, or tau^2 is below the
+    normal range (tau < 2**-511), 1/den, tau/den, 2 b3 tau^2/den and
+    tau (1/den - 1) are formed without them; a coefficient that overflows
+    all the same is inf, which ``build_spin_generator`` refuses.  Where
+    |2 b3 tau| < 1, omega2 is formed as -w13 tau (2 b3 tau)^2/den, as
+    1/den - 1 cancels there.
     """
     if model.family == "zero":
         return SpinFieldCoefficients(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, b3)
@@ -130,22 +133,29 @@ def coefficients(model: CorrelationModel, b3: float) -> SpinFieldCoefficients:
     tau = model.tau
     rate = HMAT_FACTOR * b3  # precession rate about the mean field
     x = rate * tau
-    if abs(x) < 2.0**512 and tau < 2.0**512:  # both squares are doubles
+    if abs(x) < 2.0**512 and 2.0**-511 <= tau < 2.0**512:  # both squares are normal doubles
         den = 1.0 + x**2
         c11 = 2.0 * model.w11 * tau / den
         c12 = model.w11 * rate * tau**2 / den
         c23 = model.w13 * rate * tau**2 / den
         inv_den = 1.0 / den
-    else:  # from 1/den, tau/den and tau x/den, squaring neither tau nor |x| > 1
+        if abs(x) >= 1.0:
+            omega2 = model.w13 * tau * (inv_den - 1.0)
+        else:  # 1/den - 1 = -x^2/den cancels
+            omega2 = -model.w13 * (tau * x) * x / den
+    else:  # from 1/den, tau/den, tau x/den and tau x^2/den, squaring neither tau nor |x| > 1
         if abs(x) <= 1.0:
             inv_den = 1.0 / (1.0 + x * x)
             tau_den, tau_x_den = tau * inv_den, tau * x * inv_den
+            tau_x2_den = tau_x_den * x
         else:  # by s = 1/x, formed as (tau/x)/tau, as x may overflow
             tau_x = 1.0 / rate
             s = tau_x / tau
             q = 1.0 / (1.0 + s * s)  # x^2/den
             tau_den, tau_x_den, inv_den = tau_x * s * q, tau_x * q, s * s * q
+            tau_x2_den = tau * q
         c11, c12, c23 = 2.0 * model.w11 * tau_den, model.w11 * tau_x_den, model.w13 * tau_x_den
+        omega2 = -model.w13 * tau_x2_den
     return SpinFieldCoefficients(
         c11=c11,
         c12=c12,
@@ -153,7 +163,7 @@ def coefficients(model: CorrelationModel, b3: float) -> SpinFieldCoefficients:
         c23=c23,
         c33=2.0 * model.w33 * tau,
         omega1=c23,
-        omega2=model.w13 * tau * (inv_den - 1.0),
+        omega2=omega2,
         omega3=-c12,
         b3=b3)
 
@@ -695,19 +705,3 @@ def positivity_admissible(coeffs: SpinFieldCoefficients) -> bool:
 
     return is_positive(coefficient_matrix(coeffs))
 
-
-__all__ = [
-    "CorrelationModel",
-    "SpinFieldCoefficients",
-    "MCValidationReport",
-    "coefficients",
-    "coefficient_matrix",
-    "build_spin_generator",
-    "hamiltonian_vector",
-    "cp_admissible",
-    "positivity_admissible",
-    "mc_sample",
-    "mc_validate",
-    "family_lie_generators",
-    "family_lie_dimension",
-]

@@ -96,22 +96,26 @@ def test_closed_forms_match_quadrature():
 
 
 def mp_coefficients(w11, w13, w33, tau, b3):
-    """(c11, c12, c13, c23, c33, omega2) of the exponential family, in 60 digits."""
+    """(c11, c12, c13, c23, c33, omega2) of the exponential family, in 60 digits;
+    omega2 = w13 tau (1/den - 1) as -w13 tau x^2/den, which 1 + x^2 does not
+    round away for |x| below 1e-30."""
     with mpmath.workdps(60):
         tau, rate = mpmath.mpf(tau), 2 * mpmath.mpf(b3)
         den = 1 + (rate * tau) ** 2
         return [float(c) for c in (2 * w11 * tau / den, w11 * rate * tau**2 / den,
                                    w13 * tau * (1 / den + 1), w13 * rate * tau**2 / den,
-                                   2 * w33 * tau, w13 * tau * (1 / den - 1))]
+                                   2 * w33 * tau, -w13 * tau * (rate * tau) ** 2 / den)]
 
 
 @pytest.mark.parametrize("b3", [1e300, -1e300, 1e155, 1e153, -3e160, 2.0**511,
                                 float(np.nextafter(2.0**511, 0.0)), 1.0, 0.0, 1e-300])
-@pytest.mark.parametrize("tau", [0.5, 1.0, 1e200, 1.2e154, 2.0**512, 1e300])
+@pytest.mark.parametrize("tau", [0.5, 1.0, 1e200, 1.2e154, 2.0**512, 1e300, 1e-300, 1e-160,
+                                 2.0**-511, float(np.nextafter(2.0**-511, 0.0))])
 def test_exponential_coefficients_past_the_squaring_limit(b3, tau):
-    # |2 b3 tau| or tau at or past 2**512, whose square is not a double, and
-    # up to it: the closed forms to rounding, against 60-digit arithmetic;
-    # 2 b3 = 2**512 at tau = 1 is the first product past the limit
+    # |2 b3 tau| or tau at or past 2**512, whose square is not a double, tau
+    # below 2**-511, whose square is subnormal or 0, and up to both limits:
+    # the closed forms to rounding, against 60-digit arithmetic; 2 b3 = 2**512
+    # at tau = 1 is the first product past the limit
     w11, w13, w33 = 1.0, 0.2, 0.9
     c = coefficients(CorrelationModel("exponential", w11=w11, w13=w13, w33=w33, tau=tau),
                      b3=b3)

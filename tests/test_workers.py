@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -29,3 +31,28 @@ def test_in_order_hands_back_every_float_part_bit_for_bit(monkeypatch, cpus):
     assert [i for i, _ in taken] == list(range(len(PART_ROWS)))
     for i, part in taken:
         assert part.tobytes() == float_part(i).tobytes(), i
+
+
+def test_a_frame_cut_short_fails_its_worker(monkeypatch):
+    # a worker that ends its pipe within a frame, here after a header for 100
+    # bytes and 10 of them, has failed even where it exits 0
+    patch_cpus(monkeypatch, 2)
+    parent, ends = os.getpid(), []
+    real_pipe = os.pipe
+
+    def pipe():
+        ends.append(real_pipe())
+        return ends[-1]
+
+    def work(i):
+        if os.getpid() != parent:
+            os.write(ends[-1][1], (100).to_bytes(8, "little") + bytes(10))
+            os._exit(0)
+        return float_part(i)
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    taken = []
+    with pytest.raises(RuntimeError, match=r"^1 of 1 test workers failed, exit codes \[0\]$"):
+        in_order(4, work, lambda i, part: taken.append(i), "test")
+    assert_no_child_left()
+    assert taken == [0]
